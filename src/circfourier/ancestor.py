@@ -3,7 +3,7 @@
 The ancestor PMF is the band-limited density evaluated at K equally spaced
 grid points and scaled by 2/K; because the grid resolves every frequency
 term (K >= 2N+1) the values sum to exactly 1.  Alias tables give O(1)
-draws after O(K) setup.
+draws after an O(K log K) numpy setup.
 """
 from __future__ import annotations
 
@@ -55,33 +55,49 @@ def build_ancestor(model: FourierDensity, K: int,
 
 
 def build_alias(pmf: AncestorPmf) -> AliasTable:
-    """Vose's stable O(K) construction.
+    """Sweeping alias construction in O(K log K), with no per-cell loop.
 
-    Scaled probabilities exactly equal to 1 go to the large worklist; zero
-    cells are permitted and become pure-alias cells.
+    The cells split, in index order, into lights (scaled weight w < 1) and
+    heavies (w >= 1).  A sweep hands each light, in turn, to the current
+    heavy; a heavy whose weight falls below 1 becomes a light that the next
+    heavy fills.  With P_L the cumulative deficit sum(1 - w) over lights and
+    P_H the cumulative surplus sum(w - 1) over heavies, the sweep reduces to
+    prefix sums and binary searches (Hubschle-Schneider and Sanders,
+    "Parallel Weighted Random Sampling", 2019):
+
+    - light i keeps w_i and aliases the first heavy j with P_H(j) > P_L(i-1);
+    - heavy j keeps 1 + P_H(j) - P_L(i*-1), where i* is the first light with
+      P_L(i*-1) >= P_H(j) (past the last light, the total deficit), and
+      aliases the next heavy.
+
+    Zero cells are lights that keep 0.  A cell left over by rounding, a
+    light with no heavy or a heavy with no i*, keeps 1 and aliases itself.
     """
     probs = np.asarray(pmf.probs, dtype=float)
     k = probs.size
     scaled = probs * (k / probs.sum())
+    is_light = scaled < 1.0
+    lights = np.flatnonzero(is_light)
+    heavies = np.flatnonzero(~is_light)
+    # deficit[i] = P_L(i-1): the deficit of the lights before light i.
+    deficit = np.zeros(lights.size + 1)
+    np.cumsum(1.0 - scaled[lights], out=deficit[1:])
+    surplus = np.cumsum(scaled[heavies] - 1.0)
     prob = np.ones(k)
     alias = np.arange(k)
-    small = [i for i, w in enumerate(scaled) if w < 1.0]
-    large = [i for i, w in enumerate(scaled) if w >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] -= 1.0 - scaled[s]
-        if scaled[g] >= 1.0:
-            large.append(g)
-        else:
-            small.append(g)
-    # Leftovers are 1 up to rounding.
-    for i in small + large:
-        prob[i] = 1.0
-        alias[i] = i
+
+    j = np.searchsorted(surplus, deficit[:-1], side="right")
+    filled = j < heavies.size
+    prob[lights[filled]] = scaled[lights[filled]]
+    alias[lights[filled]] = heavies[j[filled]]
+
+    i_star = np.searchsorted(deficit, surplus, side="left")
+    drained = i_star < deficit.size
+    prob[heavies[drained]] = 1.0 + surplus[drained] - deficit[i_star[drained]]
+    # The last heavy has no successor; it keeps 1 up to rounding.
+    successor = np.append(heavies[1:], heavies[-1:])
+    alias[heavies[drained]] = successor[drained]
+    np.clip(prob, 0.0, 1.0, out=prob)
     return AliasTable(prob=prob, alias=alias)
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -60,8 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"method must be one of {METHODS}")
         if self.n < 0:
             raise ConfigError("n must be >= 0")
-        if require_k and self.k < 2 * self.n + 1:
-            raise ConfigError(f"k={self.k} below minimum 2n+1={2 * self.n + 1}")
+        if require_k and not self.model_file:
+            self.check_k(self.n)
         if self.d not in (0, 1, 2):
             raise ConfigError("d must be 0, 1 or 2")
         if self.s < 1:
@@ -80,6 +81,11 @@ class ExperimentConfig:
             raise ConfigError("k_sweep must be strictly increasing")
         if any(d not in (0, 1, 2) for d in self.degrees):
             raise ConfigError("degrees entries must be 0, 1 or 2")
+
+    def check_k(self, n_terms: int) -> None:
+        """The grid must resolve all n_terms frequencies: k >= 2n+1."""
+        if self.k < 2 * n_terms + 1:
+            raise ConfigError(f"k={self.k} below minimum 2n+1={2 * n_terms + 1}")
 
 
 def _parse_value(name: str, raw: str, current):
@@ -117,9 +123,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _get_model(cfg: ExperimentConfig, rng):
-    if cfg.model_file:
-        return load_density(cfg.model_file)
-    return random_density(cfg.n, rng)
+    """The model file's density, with k checked against its N; else a
+    random density of cfg.n terms, whose k validate() has checked."""
+    if not cfg.model_file:
+        return random_density(cfg.n, rng)
+    model = load_density(cfg.model_file)
+    cfg.check_k(model.n_terms)
+    return model
 
 
 def run_sample(cfg: ExperimentConfig) -> SampleBatch:
@@ -130,7 +140,9 @@ def run_sample(cfg: ExperimentConfig) -> SampleBatch:
     if cfg.method == "rejection":
         batch = rejection_sample(model, cfg.s, draw_rng, counter)
     elif cfg.method == "inverse":
-        batch = inverse_transform_sample(model, cfg.s, draw_rng, tol=cfg.tol)
+        batch = inverse_transform_sample(
+            model, cfg.s, draw_rng, tol=cfg.tol, counter=counter
+        )
     else:
         kernel = BSplineKernel(cfg.d)
         batch = grid_ancestral_sample(
@@ -285,20 +297,20 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _emit(lines: list[str], output: str) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(write, output: str) -> None:
+    """Call write(fh) on the output file, or on stdout when none is named."""
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def run_command(command: str, cfg: ExperimentConfig, output: str) -> None:
     if command == "sample":
-        batch = run_sample(cfg)
-        lines = batch.manifest_lines() + [f"{x:.17g}" for x in batch.samples]
-    elif command == "convergence":
+        _emit(run_sample(cfg).write_csv, output)
+        return
+    if command == "convergence":
         rows = run_convergence(cfg)
         lines = [f"{k},{tr},{d},{kl:.17g}" for k, tr, d, kl in rows]
     elif command == "refinement":
@@ -307,7 +319,8 @@ def run_command(command: str, cfg: ExperimentConfig, output: str) -> None:
     else:
         rows = run_cost(cfg)
         lines = [f"{m},{e}" for m, e in rows]
-    _emit(lines, output)
+    text = "\n".join(lines) + "\n"
+    _emit(lambda fh: fh.write(text), output)
 
 
 def main(argv=None) -> int:
@@ -315,6 +328,14 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         run_command(args.command, cfg, args.output)
+    except BrokenPipeError:
+        # The reader closed stdout early, as `circfourier sample | head`
+        # does.  Stop quietly; point stdout at devnull so that the flush at
+        # interpreter exit does not fail on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -81,10 +81,12 @@ def inverse_transform_sample(
     size: int,
     rng,
     tol: float = 1e-10,
+    counter: EvalCounter | None = None,
 ) -> SampleBatch:
     """Numeric inverse-CDF samples by bisection on the monotone CDF.
 
-    Converges in ceil(log2(2/tol)) iterations per batch.
+    Converges in ceil(log2(2/tol)) iterations per batch.  Bills one pdf
+    evaluation per CDF point, size * ceil(log2(2/tol)) in all.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -92,17 +94,21 @@ def inverse_transform_sample(
         raise ValueError("tol must be positive")
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
+    if counter is None:
+        counter = EvalCounter()
     target = rng.random(size)
     lo = np.full(size, -1.0)
     hi = np.full(size, 1.0)
     for _ in range(math.ceil(math.log2(2.0 / tol))):
         mid = 0.5 * (lo + hi)
         below = model.cdf(mid) < target
+        counter.pdf_evals += size
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return SampleBatch(
         samples=0.5 * (lo + hi),
         seed=int(seed) if seed is not None else None,
+        counter=counter,
         meta={"S": size, "tol": tol, "method": "inverse"},
     )
 

@@ -64,13 +64,17 @@ class FourierDensity:
         a = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
         if a.ndim != 1 or a.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("amplitudes must be finite")
         if not np.any(a):
             raise ValueError(
                 "all-zero amplitudes: normalization constant is zero, "
                 "density undefined"
             )
-        if not scale > 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError("scale must be finite and positive")
+        if not math.isfinite(offset):
+            raise ValueError("offset must be finite")
         self.amplitudes = a
         self.amplitudes.setflags(write=False)
         self.coefficients = autocorrelate(a)
@@ -235,17 +239,28 @@ def save_density(model: FourierDensity, path) -> None:
 
 
 def load_density(path) -> FourierDensity:
-    """Read the flat text form written by save_density."""
+    """Read the flat text form written by save_density.
+
+    Raises ValueError on a malformed file: empty, a header that is not
+    'N scale offset', an amplitude line that is not 're im', a field that
+    is not a number, or a count of amplitude lines other than N+1.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    n_terms, scale, offset = int(head[0]), float(head[1]), float(head[2])
-    if len(lines) != n_terms + 2:
+        rows = [ln.split() for ln in fh if ln.strip()]
+    if not rows:
+        raise ValueError(f"{path}: empty model file")
+    if len(rows[0]) != 3:
+        raise ValueError(f"{path}: header must be 'N scale offset'")
+    if any(len(r) != 2 for r in rows[1:]):
+        raise ValueError(f"{path}: amplitude lines must be 're im'")
+    try:
+        n_terms = int(rows[0][0])
+        scale, offset = float(rows[0][1]), float(rows[0][2])
+        amps = np.array([complex(float(re), float(im)) for re, im in rows[1:]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric field: {exc}") from exc
+    if len(rows) != n_terms + 2:
         raise ValueError(
-            f"expected {n_terms + 1} amplitude lines, got {len(lines) - 1}"
+            f"expected {n_terms + 1} amplitude lines, got {len(rows) - 1}"
         )
-    amps = np.array(
-        [complex(float(p[0]), float(p[1]))
-         for p in (ln.split() for ln in lines[1:])]
-    )
     return FourierDensity(amps, scale=scale, offset=offset)

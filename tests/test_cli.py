@@ -1,7 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from circfourier import FourierDensity, save_density
+from circfourier import FourierDensity, random_density, save_density
 from circfourier.cli import (
     ConfigError,
     ExperimentConfig,
@@ -205,7 +210,88 @@ class TestCostCommand:
         assert abs(rows["rejection"] - 2 * 10**6) < 3 * sigma
 
 
+class TestModelFileBoundary:
+    @pytest.mark.parametrize("text", [
+        "1 1 0\nnan 0\n1 0\n",
+        "1 1 0\n1 inf\n1 0\n",
+        "1 nan 0\n1 0\n1 0\n",
+        "1 1 inf\n1 0\n1 0\n",
+    ])
+    def test_non_finite_model_exits_2(self, tmp_path, text):
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        code, out = run_cli(
+            tmp_path, "sample", "--model-file", str(path), "--n", "1",
+            "--k", "7", "--s", "10",
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n\n",
+        "1 1\n1 0\n1 0\n",
+        "1 1 0\n1\n1 0\n",
+        "one 1 0\n1 0\n1 0\n",
+        "1 1 0\n1 zero\n1 0\n",
+    ])
+    def test_malformed_model_file_exits_2(self, tmp_path, text):
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        code, _ = run_cli(
+            tmp_path, "sample", "--model-file", str(path), "--n", "1",
+            "--k", "7", "--s", "10",
+        )
+        assert code == 2
+
+    def test_k_checked_against_file_n(self, tmp_path):
+        # config n defaults to 10 (minimum k 21); the file's N=1 needs k >= 3
+        path = tmp_path / "cos.model"
+        save_density(FourierDensity([1.0, 1.0]), path)
+        code, text = run_cli(
+            tmp_path, "sample", "--model-file", str(path), "--k", "7",
+            "--s", "10",
+        )
+        assert code == 0
+        assert "# seed=0 K=7 D=1 S=10" in text
+
+    def test_k_below_file_n_exits_2(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_density(random_density(5, 0), path)
+        code, _ = run_cli(
+            tmp_path, "sample", "--model-file", str(path), "--n", "1",
+            "--k", "7", "--s", "10",
+        )
+        assert code == 2
+
+
+class TestInverseBilling:
+    def test_cdf_points_billed(self, tmp_path):
+        code, text = run_cli(
+            tmp_path, "sample", "--method", "inverse", "--n", "3", "--k", "7",
+            "--s", "10",
+        )
+        assert code == 0
+        evals = 10 * math.ceil(math.log2(2 / 1e-10))
+        assert f"# pdf_evals={evals} score_evals=0 total_evals={evals}" in text
+
+
 class TestExitCodes:
+    def test_reader_closing_stdout_early(self):
+        # `circfourier sample ... | head -1`: the rest of the rows hit a
+        # closed pipe, which ends the run quietly
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "circfourier.cli", "sample", "--n", "3",
+             "--k", "7", "--s", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"# seed=0")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
+
     def test_success(self, tmp_path):
         code, _ = run_cli(tmp_path, "cost", "--n", "2", "--k", "5", "--s", "10")
         assert code == 0

@@ -39,6 +39,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FourierDensity([1.0], scale=0.0)
 
+    @pytest.mark.parametrize("amps,scale,offset", [
+        ([1.0, np.nan], 1.0, 0.0),
+        ([1.0, complex(0, np.inf)], 1.0, 0.0),
+        ([1.0], np.inf, 0.0),
+        ([1.0], np.nan, 0.0),
+        ([1.0], 1.0, -np.inf),
+        ([1.0], 1.0, np.nan),
+    ])
+    def test_non_finite_rejected(self, amps, scale, offset):
+        with pytest.raises(ValueError):
+            FourierDensity(amps, scale=scale, offset=offset)
+
     def test_coefficients_reproducible_bitwise(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -294,6 +306,20 @@ class TestSerialization:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1 0\n1 0\n")
+        with pytest.raises(ValueError):
+            load_density(path)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "1 1\n1 0\n1 0\n",
+        "1 1 0 9\n1 0\n1 0\n",
+        "1 1 0\n1\n1 0\n",
+        "x 1 0\n1 0\n1 0\n",
+        "1 1 0\n1 0\n1 y\n",
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
         with pytest.raises(ValueError):
             load_density(path)
 
