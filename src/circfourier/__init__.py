@@ -30,8 +30,9 @@ from .model import (
     random_density,
     save_density,
     to_real_line,
+    wrap,
 )
-from .refine import LangevinConfig, mala_refine, ula_refine, wrap
+from .refine import LangevinConfig, mala_refine, ula_refine
 
 __all__ = [
     "AliasTable",

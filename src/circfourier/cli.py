@@ -26,7 +26,8 @@ from .metrics import (
 from .model import EvalCounter, load_density, random_density
 from .refine import LangevinConfig, mala_refine, ula_refine
 
-METHODS = ("daas", "daas+ula", "daas+mala", "rejection", "inverse")
+GRID_METHODS = ("daas", "daas+ula", "daas+mala")
+METHODS = GRID_METHODS + ("rejection", "inverse")
 
 
 class ConfigError(ValueError):
@@ -91,8 +92,6 @@ class ExperimentConfig:
 def _parse_value(name: str, raw: str, current):
     if isinstance(current, tuple):
         return tuple(int(v) for v in raw.split(",") if v != "")
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -122,20 +121,24 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _get_model(cfg: ExperimentConfig, rng):
-    """The model file's density, with k checked against its N; else a
-    random density of cfg.n terms, whose k validate() has checked."""
+def _get_model(cfg: ExperimentConfig, rng, require_k: bool = True):
+    """The model file's density, with k checked against its N if
+    `require_k`; else a random density of cfg.n terms, whose k validate()
+    has checked."""
     if not cfg.model_file:
         return random_density(cfg.n, rng)
     model = load_density(cfg.model_file)
-    cfg.check_k(model.n_terms)
+    if require_k:
+        cfg.check_k(model.n_terms)
     return model
 
 
 def run_sample(cfg: ExperimentConfig) -> SampleBatch:
-    cfg.validate()
+    """Draw cfg.s samples; k is checked only for the grid methods."""
+    uses_k = cfg.method in GRID_METHODS
+    cfg.validate(require_k=uses_k)
     model_rng, draw_rng = np.random.default_rng(cfg.seed).spawn(2)
-    model = _get_model(cfg, model_rng)
+    model = _get_model(cfg, model_rng, require_k=uses_k)
     counter = EvalCounter()
     if cfg.method == "rejection":
         batch = rejection_sample(model, cfg.s, draw_rng, counter)
@@ -163,15 +166,21 @@ def run_sample(cfg: ExperimentConfig) -> SampleBatch:
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[tuple[int, int, int, float]]:
-    """Rows (K, trial, D, kl): Monte Carlo KL of the grid approximation."""
+    """Rows (K, trial, D, kl): Monte Carlo KL of the grid approximation.
+
+    Every trial uses the model file's density if one is named, else a
+    random density of cfg.n terms; only the reference sample differs.
+    """
     cfg = replace(cfg, k_sweep=cfg.k_sweep or (128, 256, 512, 1024, 2048))
     cfg.validate(require_k=False)
-    if min(cfg.k_sweep) < 2 * cfg.n + 1:
+    file_model = load_density(cfg.model_file) if cfg.model_file else None
+    n_terms = cfg.n if file_model is None else file_model.n_terms
+    if min(cfg.k_sweep) < 2 * n_terms + 1:
         raise ConfigError("k_sweep entries must satisfy K >= 2n+1")
     rows = []
     for trial in range(cfg.trials):
         trng = np.random.default_rng(cfg.seed + trial)
-        model = random_density(cfg.n, trng)
+        model = file_model or random_density(cfg.n, trng)
         ref = rejection_sample(model, cfg.s, trng)
         p_vals = model.pdf(ref.samples)
         for k_grid in cfg.k_sweep:

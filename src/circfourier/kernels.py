@@ -14,8 +14,7 @@ import numpy as np
 
 from .ancestor import AncestorPmf, build_alias, build_ancestor, sample_ancestors
 from .batch import SampleBatch
-from .model import EvalCounter, FourierDensity
-from .refine import wrap
+from .model import EvalCounter, FourierDensity, wrap
 
 SUPPORTED_DEGREES = (0, 1, 2)
 

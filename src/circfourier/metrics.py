@@ -23,9 +23,6 @@ class DivergenceReport:
     std_error: float
     method: str  # quadrature | monte-carlo | empirical
 
-    def csv_row(self) -> str:
-        return f"{self.method},{self.estimate:.17g},{self.std_error:.17g}"
-
 
 def rejection_sample(
     model: FourierDensity,

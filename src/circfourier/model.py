@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Floating-point cancellation near zeros of the density can produce tiny
-# negative PDF values; clamp at this floor so log/score stay well-defined.
+# The density may vanish at points; clamping there keeps log and score finite.
 PDF_FLOOR = 1e-12
 
-# Below this grid size a direct evaluation beats the FFT path.
-_DIRECT_EVAL_MAX = 32
+_BLOCK = 1 << 14  # points per block of the pointwise evaluations
 
 
 @dataclass
@@ -81,32 +79,25 @@ class FourierDensity:
         self.coefficients.setflags(write=False)
         self.scale = float(scale)
         self.offset = float(offset)
-        c0 = float(np.real(self.coefficients[0]))
+        self._c0 = float(np.real(self.coefficients[0]))
         # ratios[n-1] = c_n / c_0 for n = 1..N
-        self._ratios = self.coefficients[1:] / c0
+        self._ratios = self.coefficients[1:] / self._c0
 
     @property
     def n_terms(self) -> int:
         return self.amplitudes.size - 1
 
-    def _series(self, x, weights, base: float):
-        """base + sum_n Re{weights[n-1] * e^{i pi n x}} via power recurrence."""
-        x = np.asarray(x, dtype=float)
-        z = np.exp(1j * np.pi * x)
-        acc = np.zeros(z.shape, dtype=complex)
-        zp = np.ones(z.shape, dtype=complex)
-        for w in weights:
-            zp = zp * z
-            acc += w * zp
-        return base + np.real(acc)
-
     def pdf(self, x, counter: EvalCounter | None = None, clamp: bool = True):
-        """Density at x in [-1, 1).  Bills one pdf evaluation per point."""
-        vals = self._series(x, self._ratios, 0.5)
+        """Density |A(w)|^2 / (2 c_0) >= 0 at x in [-1, 1), with
+        A(w) = sum_k a_k w^k at w = e^{-i pi x}.  Bills one pdf evaluation per
+        point."""
+        vals = np.empty(np.shape(x))
+        for sl, (A,) in _horner([self.amplitudes], x, -1.0):
+            vals.reshape(-1)[sl] = (A.real**2 + A.imag**2) / (2.0 * self._c0)
         if counter is not None:
-            counter.pdf_evals += int(np.size(vals))
+            counter.pdf_evals += int(vals.size)
         if clamp:
-            vals = np.maximum(vals, PDF_FLOOR)
+            np.maximum(vals, PDF_FLOOR, out=vals)
         return vals if np.ndim(vals) else float(vals)
 
     def _grid_weights(self, order: int) -> np.ndarray:
@@ -116,28 +107,20 @@ class FourierDensity:
 
     def pdf_grid(self, K: int, counter: EvalCounter | None = None,
                  clamp: bool = True) -> np.ndarray:
-        """Density at the K grid points x_k = -1 + 2k/K, k = 0..K-1.
-
-        Requires K >= 2N+1 so the grid resolves every frequency term.
-        Computed by an inverse DFT of the zero-padded coefficient vector in
-        O(K log K); small grids fall back to direct evaluation.
-        """
+        """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, where
+        A(w_k) is the DFT of (-1)^j a_j zero-padded to K: O(K log K)."""
         K = int(K)
         if K < 2 * self.n_terms + 1:
             raise ValueError(
                 f"grid size K={K} below minimum 2N+1={2 * self.n_terms + 1}"
             )
-        if K <= _DIRECT_EVAL_MAX:
-            xs = -1.0 + 2.0 * np.arange(K) / K
-            return self.pdf(xs, counter, clamp=clamp)
-        b = np.zeros(K, dtype=complex)
-        b[0] = 0.5
-        b[1 : self.n_terms + 1] = self._grid_weights(0)
-        vals = K * np.real(np.fft.ifft(b))
+        signs = (-1.0) ** np.arange(self.n_terms + 1)
+        A = np.fft.fft(self.amplitudes * signs, K)
+        vals = (A.real**2 + A.imag**2) / (2.0 * self._c0)
         if counter is not None:
             counter.pdf_evals += K
         if clamp:
-            vals = np.maximum(vals, PDF_FLOOR)
+            np.maximum(vals, PDF_FLOOR, out=vals)
         return vals
 
     def deriv_grid(self, K: int, order: int = 1) -> np.ndarray:
@@ -150,45 +133,36 @@ class FourierDensity:
         return K * np.real(np.fft.ifft(b))
 
     def deriv(self, x, order: int = 1):
-        """Analytic derivative of the (unclamped) density at arbitrary x."""
+        """Analytic derivative of the (unclamped) density at arbitrary x;
+        order -1 gives the term-wise antiderivative of p - 1/2."""
         n = np.arange(1, self.n_terms + 1)
-        weights = self._ratios * (1j * np.pi * n) ** order
-        vals = self._series(x, weights, 0.0)
+        b = np.concatenate(([0.0], self._ratios * (1j * np.pi * n) ** order))
+        vals = np.empty(np.shape(x))
+        for sl, (P,) in _horner([b], x, 1.0):
+            vals.reshape(-1)[sl] = P.real  # sum_n b_n e^{i pi n x}
         return vals if np.ndim(vals) else float(vals)
 
     def cdf(self, x):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
-
-        Term-wise antiderivative of the Fourier series.
-        """
+        Term-wise (x + 1)/2 + F(x) - F(-1), with F = deriv(x, order=-1)."""
         x = np.asarray(x, dtype=float)
-        n = np.arange(1, self.n_terms + 1)
-        weights = self._ratios / (1j * np.pi * n)
-        const = float(np.sum(np.real(weights * (-1.0) ** n)))
-        vals = (x + 1.0) / 2.0 + self._series(x, weights, 0.0) - const
+        vals = (x + 1.0) / 2.0 + (self.deriv(x, -1) - self.deriv(-1.0, -1))
         vals = np.clip(vals, 0.0, 1.0)
         return vals if np.ndim(vals) else float(vals)
 
     def pdf_and_score(self, x, counter: EvalCounter | None = None):
-        """Clamped density and score p'(x)/max(p(x), floor) in one pass.
-
-        Bills one score evaluation per point (counted as two model
-        evaluations in the ledger total).
-        """
-        x = np.asarray(x, dtype=float)
-        z = np.exp(1j * np.pi * x)
-        acc_p = np.zeros(z.shape, dtype=complex)
-        acc_d = np.zeros(z.shape, dtype=complex)
-        zp = np.ones(z.shape, dtype=complex)
-        for n, w in enumerate(self._ratios, start=1):
-            zp = zp * z
-            term = w * zp
-            acc_p += term
-            acc_d += (1j * np.pi * n) * term
-        p = np.maximum(0.5 + np.real(acc_p), PDF_FLOOR)
-        score = np.real(acc_d) / p
+        """Clamped density and score p'(x)/max(p(x), floor), from one pass
+        for A(w) and wA'(w) = sum_k k a_k w^k: p' = pi Im{conj(A) wA'} / c_0.
+        Bills one score evaluation (two model evaluations) per point."""
+        p, score = np.empty(np.shape(x)), np.empty(np.shape(x))
+        rows = [self.amplitudes, np.arange(self.n_terms + 1) * self.amplitudes]
+        for sl, (A, wdA) in _horner(rows, x, -1.0):
+            p.reshape(-1)[sl] = (A.real**2 + A.imag**2) / (2.0 * self._c0)
+            score.reshape(-1)[sl] = np.pi * (A.conj() * wdA).imag / self._c0
+        np.maximum(p, PDF_FLOOR, out=p)
+        score /= p
         if counter is not None:
-            counter.score_evals += int(np.size(x))
+            counter.score_evals += int(p.size)
         return p, score
 
     def score(self, x, counter: EvalCounter | None = None):
@@ -210,6 +184,31 @@ class FourierDensity:
     def to_real_line(self, x):
         """Map a circle coordinate in (-1, 1) to the real line."""
         return to_real_line(x, self.scale, self.offset)
+
+
+def _horner(rows, x, sign: float):
+    """Yield (sl, [P_0, ...]) per block of _BLOCK points of x, flattened:
+    P_i = sum_k rows[i][k] u^k at u = e^{sign i pi x[sl]}, by Horner's rule
+    with in-place ufuncs, so memory is flat in the number of points."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    for lo in range(0, x.size, _BLOCK):
+        u = np.exp(1j * sign * np.pi * x[lo : lo + _BLOCK])
+        Ps = [np.full(u.size, b[-1], dtype=complex) for b in rows]
+        for P, b in zip(Ps, rows):
+            for c in b[-2::-1]:
+                P *= u
+                P += c
+        yield slice(lo, lo + _BLOCK), Ps
+
+
+def wrap(x):
+    """Wrap a real coordinate into [-1, 1); exact identity on the domain."""
+    x = np.asarray(x, dtype=float)
+    vals = x - 2.0 * np.floor((x + 1.0) / 2.0)
+    # guard the rounding edge when (x + 1) / 2 rounds across an integer
+    vals = np.where(vals >= 1.0, vals - 2.0, vals)
+    vals = np.where(vals < -1.0, vals + 2.0, vals)
+    return vals if np.ndim(vals) else float(vals)
 
 
 def to_real_line(x, scale: float, offset: float):

@@ -15,17 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SampleBatch
-from .model import EvalCounter, FourierDensity
-
-
-def wrap(x):
-    """Wrap a real coordinate into [-1, 1); exact identity on the domain."""
-    x = np.asarray(x, dtype=float)
-    vals = x - 2.0 * np.floor((x + 1.0) / 2.0)
-    # guard the rounding edge when (x + 1) / 2 rounds across an integer
-    vals = np.where(vals >= 1.0, vals - 2.0, vals)
-    vals = np.where(vals < -1.0, vals + 2.0, vals)
-    return vals if np.ndim(vals) else float(vals)
+from .model import EvalCounter, FourierDensity, wrap
 
 
 @dataclass(frozen=True)

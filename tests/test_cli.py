@@ -120,6 +120,22 @@ class TestSampleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["rejection", "inverse"])
+    def test_k_unchecked_for_methods_without_grid(self, tmp_path, method):
+        # k < 2n+1, against the config's n and against a model file's N
+        code, _ = run_cli(
+            tmp_path, "sample", "--method", method, "--n", "30", "--k", "50",
+            "--s", "10",
+        )
+        assert code == 0
+        path = tmp_path / "model.txt"
+        save_density(random_density(5, 0), path)
+        code, _ = run_cli(
+            tmp_path, "sample", "--method", method, "--model-file", str(path),
+            "--k", "7", "--s", "10",
+        )
+        assert code == 0
+
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("seed=4\nn=3\nk=10\ns=25\n")
@@ -159,6 +175,28 @@ class TestConvergenceCommand:
         rows = run_convergence(cfg)
         kls = [kl for _, _, _, kl in rows]
         assert kls[0] > kls[1] > kls[2]
+
+    def test_model_file_used_in_every_trial(self, tmp_path):
+        # a uniform model: the grid density is exact, so every KL is zero,
+        # whereas a random density of n=5 terms reads about 7e-3
+        path = tmp_path / "uniform.model"
+        save_density(FourierDensity([1.0]), path)
+        cfg = ExperimentConfig(seed=0, n=5, s=2000, trials=2, k_sweep=(16,),
+                               degrees=(1,), model_file=str(path))
+        rows = run_convergence(cfg)
+        assert len(rows) == 2
+        for _, _, _, kl in rows:
+            assert abs(kl) < 1e-6
+
+    @pytest.mark.parametrize("file_n,n,code", [(20, 1, 2), (1, 30, 0)])
+    def test_k_sweep_checked_against_file_n(self, tmp_path, file_n, n, code):
+        path = tmp_path / "model.txt"
+        save_density(random_density(file_n, 0), path)
+        got, _ = run_cli(
+            tmp_path, "convergence", "--model-file", str(path), "--n", str(n),
+            "--s", "200", "--k-sweep", "16", "--degrees", "1",
+        )
+        assert got == code
 
 
 class TestRefinementCommand:
