@@ -6,7 +6,6 @@ from .ancestor import (
     build_alias,
     build_ancestor,
     reconstruct_pmf,
-    sample_ancestor,
     sample_ancestors,
 )
 from .batch import SampleBatch, read_csv
@@ -57,7 +56,6 @@ __all__ = [
     "read_csv",
     "reconstruct_pmf",
     "rejection_sample",
-    "sample_ancestor",
     "sample_ancestors",
     "save_density",
     "to_real_line",

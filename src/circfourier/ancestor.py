@@ -116,16 +116,9 @@ def alias_select(table: AliasTable, idx, u):
     return np.where(take, idx, table.alias[idx])
 
 
-def sample_ancestor(table: AliasTable, rng) -> int:
-    """One draw: one uniform index plus one uniform real; O(1) time."""
-    rng = np.random.default_rng(rng)
-    idx = int(rng.integers(table.size))
-    u = rng.random()
-    return int(alias_select(table, idx, u))
-
-
 def sample_ancestors(table: AliasTable, size: int, rng) -> np.ndarray:
-    """Vectorized draws; same per-draw contract as sample_ancestor."""
+    """`size` draws, each one uniform index plus one uniform real; O(1) time
+    per draw."""
     rng = np.random.default_rng(rng)
     idx = rng.integers(table.size, size=size)
     u = rng.random(size)

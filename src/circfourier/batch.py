@@ -16,8 +16,8 @@ _BLOCK_ROWS = 1 << 14
 class SampleBatch:
     """Samples in [-1, 1) with reproducibility metadata.
 
-    meta carries the manifest fields (K, D, S, ...) plus method-specific
-    extras such as acceptance_rate or proposals.
+    meta carries the manifest fields (K and D for grid methods, ...) plus
+    method-specific extras such as acceptance_rate or proposals.
     """
 
     samples: np.ndarray
@@ -31,13 +31,8 @@ class SampleBatch:
 
     def manifest_lines(self) -> list[str]:
         seed = self.seed if self.seed is not None else ""
-        head = (
-            f"# seed={seed}"
-            f" K={self.meta.get('K', '')}"
-            f" D={self.meta.get('D', '')}"
-            f" S={self.size}"
-        )
-        lines = [head]
+        grid = "".join(f" {k}={self.meta[k]}" for k in ("K", "D") if k in self.meta)
+        lines = [f"# seed={seed}{grid} S={self.size}"]
         lines.append(
             f"# pdf_evals={self.counter.pdf_evals}"
             f" score_evals={self.counter.score_evals}"

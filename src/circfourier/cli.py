@@ -10,12 +10,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .batch import SampleBatch
-from .kernels import BSplineKernel, compound_pdf, grid_ancestral_sample
+from .kernels import (
+    SUPPORTED_DEGREES,
+    BSplineKernel,
+    compound_pdf,
+    grid_ancestral_sample,
+)
 from .ancestor import build_ancestor
 from .metrics import (
     empirical_w1,
@@ -24,7 +29,7 @@ from .metrics import (
     rejection_sample,
 )
 from .model import EvalCounter, load_density, random_density
-from .refine import LangevinConfig, mala_refine, ula_refine
+from .refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
 
 GRID_METHODS = ("daas", "daas+ula", "daas+mala")
 METHODS = GRID_METHODS + ("rejection", "inverse")
@@ -40,20 +45,26 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """Every setting: each field is a config-file key and a flag, parsed alike."""
+
     seed: int = 0
-    n: int = 10          # frequency terms
-    k: int = 50          # grid points
-    d: int = 1           # kernel degree
-    s: int = 100000      # samples
-    t: int = 0           # refinement steps
+    n: int = field(default=10, metadata={"help": "frequency terms"})
+    k: int = field(default=50, metadata={"help": "grid points"})
+    d: int = field(default=1, metadata={"help": "kernel degree"})
+    s: int = field(default=100000, metadata={"help": "number of samples"})
+    t: int = field(default=0, metadata={"help": "refinement steps"})
     eps_ula: float = 1e-5
     eps_mala: float = 8e-5
-    schedule: str = "constant"
-    method: str = "daas"
+    schedule: str = field(default="constant",
+                          metadata={"help": "one of " + ", ".join(SCHEDULES)})
+    method: str = field(default="daas",
+                        metadata={"help": "one of " + ", ".join(METHODS)})
     trials: int = 1
-    k_sweep: tuple = ()
-    t_sweep: tuple = (0, 1, 5, 20, 100, 500)
-    degrees: tuple = (1,)
+    k_sweep: tuple = field(default=(), metadata={"help": "comma-separated K values"})
+    t_sweep: tuple = field(default=(0, 1, 5, 20, 100, 500),
+                           metadata={"help": "comma-separated T values"})
+    degrees: tuple = field(default=(1,),
+                           metadata={"help": "comma-separated kernel degrees"})
     tol: float = 1e-10
     model_file: str = ""
 
@@ -64,24 +75,24 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 0")
         if require_k and not self.model_file:
             self.check_k(self.n)
-        if self.d not in (0, 1, 2):
-            raise ConfigError("d must be 0, 1 or 2")
+        if self.d not in SUPPORTED_DEGREES:
+            raise ConfigError(f"d must be one of {SUPPORTED_DEGREES}")
         if self.s < 1:
             raise ConfigError("s must be >= 1")
         if self.t < 0:
             raise ConfigError("t must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.schedule not in ("constant", "decay"):
-            raise ConfigError("schedule must be 'constant' or 'decay'")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError(f"schedule must be one of {SCHEDULES}")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
         if self.k_sweep and any(
             b <= a for a, b in zip(self.k_sweep, self.k_sweep[1:])
         ):
             raise ConfigError("k_sweep must be strictly increasing")
-        if any(d not in (0, 1, 2) for d in self.degrees):
-            raise ConfigError("degrees entries must be 0, 1 or 2")
+        if any(d not in SUPPORTED_DEGREES for d in self.degrees):
+            raise ConfigError(f"degrees entries must be in {SUPPORTED_DEGREES}")
 
     def check_k(self, n_terms: int) -> None:
         """The grid must resolve all n_terms frequencies: k >= 2n+1."""
@@ -89,7 +100,8 @@ class ExperimentConfig:
             raise ConfigError(f"k={self.k} below minimum 2n+1={2 * n_terms + 1}")
 
 
-def _parse_value(name: str, raw: str, current):
+def _parse_value(raw: str, current):
+    """The text of a flag or config value, typed as the current value."""
     if isinstance(current, tuple):
         return tuple(int(v) for v in raw.split(",") if v != "")
     if isinstance(current, int):
@@ -97,6 +109,15 @@ def _parse_value(name: str, raw: str, current):
     if isinstance(current, float):
         return float(raw)
     return raw
+
+
+def _set(cfg: ExperimentConfig, key: str, raw: str, where: str) -> ExperimentConfig:
+    """cfg with `key` parsed from `raw`; a malformed value is a ConfigError
+    naming `where` (the flag, or path:line)."""
+    try:
+        return replace(cfg, **{key: _parse_value(raw, getattr(cfg, key))})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -112,12 +133,7 @@ def load_config(path: str) -> ExperimentConfig:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in names:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                cfg = replace(
-                    cfg, **{key: _parse_value(key, raw, getattr(cfg, key))}
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            cfg = _set(cfg, key, raw, f"{path}:{lineno}")
     return cfg
 
 
@@ -251,34 +267,18 @@ def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
     rejection_sample(model, cfg.s, draw_rng, counter)
     return [
         ("rejection", counter.total_evals),
-        ("ula", 2 * cfg.s * cfg.t + cfg.k),
-        ("mala", 4 * cfg.s * cfg.t + cfg.k),
-        ("triangular", cfg.k),
+        ("ula", EvalCounter(cfg.k, cfg.s * cfg.t).total_evals),
+        ("mala", EvalCounter(cfg.k, 2 * cfg.s * cfg.t).total_evals),
+        ("triangular", EvalCounter(cfg.k).total_evals),
     ]
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default="", help="key=value config file")
-    p.add_argument("--output", default="", help="output path (default stdout)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int, help="frequency terms")
-    p.add_argument("--k", type=int, help="grid points")
-    p.add_argument("--d", type=int, help="kernel degree")
-    p.add_argument("--s", type=int, help="number of samples")
-    p.add_argument("--t", type=int, help="refinement steps")
-    p.add_argument("--eps-ula", dest="eps_ula", type=float)
-    p.add_argument("--eps-mala", dest="eps_mala", type=float)
-    p.add_argument("--schedule", choices=("constant", "decay"))
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--k-sweep", dest="k_sweep", help="comma-separated K values")
-    p.add_argument("--t-sweep", dest="t_sweep", help="comma-separated T values")
-    p.add_argument("--degrees", help="comma-separated kernel degrees")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--model-file", dest="model_file")
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per ExperimentConfig field, each taking the value as text."""
     parser = argparse.ArgumentParser(
         prog="circfourier",
         description="Circular Fourier density sampling experiments",
@@ -290,19 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("refinement", "W1 of Langevin-refined samples over a T sweep"),
         ("cost", "model-evaluation totals per method"),
     ):
-        _add_common_flags(sub.add_parser(name, help=doc))
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("--config", default="", help="key=value config file")
+        p.add_argument("--output", default="", help="output path (default stdout)")
+        for f in fields(ExperimentConfig):
+            p.add_argument(_flag(f.name), help=f.metadata.get("help"))
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's values (or the defaults), overridden by flags."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     for f in fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
-        if val is None:
-            continue
-        if isinstance(getattr(cfg, f.name), tuple) and isinstance(val, str):
-            val = _parse_value(f.name, val, getattr(cfg, f.name))
-        cfg = replace(cfg, **{f.name: val})
+        raw = getattr(args, f.name)
+        if raw is not None:
+            cfg = _set(cfg, f.name, raw, _flag(f.name))
     return cfg
 
 

@@ -15,6 +15,8 @@ from .batch import SampleBatch
 from .model import EvalCounter, FourierDensity
 
 KL_FLOOR = 1e-12
+_TV_REFINE_TOL = 1e-8
+_TV_MAX_DOUBLINGS = 3
 
 
 @dataclass
@@ -69,7 +71,7 @@ def rejection_sample(
         samples=samples,
         seed=int(seed) if seed is not None else None,
         counter=counter,
-        meta={"S": size, "proposals": n_proposals, "method": "rejection"},
+        meta={"proposals": n_proposals, "method": "rejection"},
     )
 
 
@@ -106,7 +108,7 @@ def inverse_transform_sample(
         samples=0.5 * (lo + hi),
         seed=int(seed) if seed is not None else None,
         counter=counter,
-        meta={"S": size, "tol": tol, "method": "inverse"},
+        meta={"tol": tol, "method": "inverse"},
     )
 
 
@@ -119,20 +121,19 @@ def tv_quadrature(
     p_eval,
     q_eval,
     grid_points: int = 20000,
-    refine_tol: float = 1e-8,
-    max_doublings: int = 3,
 ) -> DivergenceReport:
     """Trapezoid quadrature of (1/2) |p - q| over [-1, 1).
 
-    The grid doubles until successive estimates agree within refine_tol.
+    The grid doubles, at most _TV_MAX_DOUBLINGS times, until successive
+    estimates agree within _TV_REFINE_TOL.
     """
     _check_grid(grid_points)
     m = grid_points
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_TV_MAX_DOUBLINGS + 1):
         xs = np.linspace(-1.0, 1.0, m + 1)
         val = 0.5 * np.trapezoid(np.abs(p_eval(xs) - q_eval(xs)), xs)
-        if prev is not None and abs(val - prev) < refine_tol:
+        if prev is not None and abs(val - prev) < _TV_REFINE_TOL:
             break
         prev = val
         m *= 2

@@ -42,10 +42,7 @@ class EvalCounter:
 def autocorrelate(amplitudes) -> np.ndarray:
     """c_n = sum_{k=0}^{N-n} a_k * conj(a_{k+n}) for n = 0..N."""
     a = np.asarray(amplitudes, dtype=complex)
-    n_plus_1 = a.size
-    out = np.array(
-        [np.sum(a[: n_plus_1 - n] * np.conj(a[n:])) for n in range(n_plus_1)]
-    )
+    out = np.conj(np.correlate(a, a, "full")[a.size - 1 :])
     # c_0 = sum |a_k|^2 is exactly real; keep it that way bit-for-bit.
     out[0] = np.sum(a.real**2 + a.imag**2)
     return out

@@ -10,19 +10,22 @@ sizes used here (eps <= 1e-3 on a period-2 circle).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .batch import SampleBatch
 from .model import EvalCounter, FourierDensity, wrap
 
+SCHEDULES = ("constant", "decay")
+
 
 @dataclass(frozen=True)
 class LangevinConfig:
     """Step-size schedule for the refinement chain.
 
-    schedule 'constant' keeps step_size; 'decay' uses step_size / (t + 1).
+    schedule 'constant' keeps step_size; 'decay' uses step_size / (t + 1),
+    where t counts the steps the chain has taken since its unrefined start.
     """
 
     step_size: float = 1e-5
@@ -32,7 +35,7 @@ class LangevinConfig:
     def __post_init__(self):
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
-        if self.schedule not in ("constant", "decay"):
+        if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
@@ -52,14 +55,17 @@ def ula_refine(
 ) -> SampleBatch:
     """Unadjusted Langevin chain: x <- wrap(x + eps*score + sqrt(2 eps) z).
 
-    Bills one score evaluation (two model evaluations) per sample per step.
-    steps == 0 returns the batch unchanged.
+    Bills one score evaluation (two model evaluations) per sample per step,
+    into `counter` or else into a copy of the batch's ledger.  The schedule
+    continues from the batch's step count meta["T"], which the result
+    advances by cfg.steps.  steps == 0 returns the samples unchanged.
     """
     rng = np.random.default_rng(rng)
     if counter is None:
-        counter = batch.counter
+        counter = replace(batch.counter)
+    t0 = int(batch.meta.get("T", 0))
     x = batch.samples.copy()
-    for t in range(cfg.steps):
+    for t in range(t0, t0 + cfg.steps):
         eps = cfg.step_at(t)
         s = model.score(x, counter)
         z = rng.standard_normal(x.size)
@@ -68,7 +74,7 @@ def ula_refine(
         samples=x,
         seed=batch.seed,
         counter=counter,
-        meta={**batch.meta, "T": cfg.steps, "refine": "ula"},
+        meta={**batch.meta, "T": t0 + cfg.steps, "refine": "ula"},
     )
 
 
@@ -82,15 +88,17 @@ def mala_refine(
     """Metropolis-adjusted Langevin chain.
 
     Each step proposes via the ULA kernel and accepts with the usual ratio;
-    two score evaluations (four model evaluations) per sample per step.
-    The mean acceptance rate goes into the batch manifest.
+    two score evaluations (four model evaluations) per sample per step,
+    billed and scheduled as in ula_refine.  The mean acceptance rate of
+    these steps goes into the batch manifest.
     """
     rng = np.random.default_rng(rng)
     if counter is None:
-        counter = batch.counter
+        counter = replace(batch.counter)
+    t0 = int(batch.meta.get("T", 0))
     x = batch.samples.copy()
     n_accept = 0
-    for t in range(cfg.steps):
+    for t in range(t0, t0 + cfg.steps):
         eps = cfg.step_at(t)
         p_cur, s_cur = model.pdf_and_score(x, counter)
         drift = eps * s_cur
@@ -112,7 +120,7 @@ def mala_refine(
         counter=counter,
         meta={
             **batch.meta,
-            "T": cfg.steps,
+            "T": t0 + cfg.steps,
             "refine": "mala",
             "acceptance_rate": rate,
         },

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from circfourier import FourierDensity, random_density, save_density
 from circfourier.cli import (
     ConfigError,
     ExperimentConfig,
+    build_parser,
+    config_from_args,
     load_config,
     main,
     run_convergence,
@@ -62,6 +65,59 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(k_sweep=(128, 128)).validate()
 
+    def test_flags_and_config_lines_parse_alike(self, tmp_path):
+        values = {
+            "seed": "7", "n": "3", "k": "9", "d": "2", "s": "11", "t": "4",
+            "eps_ula": "2e-5", "eps_mala": "3e-4", "schedule": "decay",
+            "method": "daas+mala", "trials": "2", "k_sweep": "16,32",
+            "t_sweep": "0,2", "degrees": "0,2", "tol": "1e-8",
+            "model_file": "m.txt",
+        }
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        argv = ["sample"]
+        for k, v in values.items():
+            argv += ["--" + k.replace("_", "-"), v]
+        from_flags = config_from_args(build_parser().parse_args(argv))
+        assert from_flags == load_config(path)
+        assert from_flags == ExperimentConfig(
+            seed=7, n=3, k=9, d=2, s=11, t=4, eps_ula=2e-5, eps_mala=3e-4,
+            schedule="decay", method="daas+mala", trials=2, k_sweep=(16, 32),
+            t_sweep=(0, 2), degrees=(0, 2), tol=1e-8, model_file="m.txt",
+        )
+
+    def test_help_texts(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["sample", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for text in (
+            "frequency terms", "grid points", "kernel degree",
+            "number of samples", "refinement steps", "comma-separated K values",
+            "comma-separated T values", "comma-separated kernel degrees",
+        ):
+            assert text in out
+
+    @pytest.mark.parametrize("flag,raw", [
+        ("--seed", "abc"), ("--k-sweep", "3,x"), ("--eps-ula", "fast"),
+    ])
+    def test_malformed_flag_exits_2(self, capsys, flag, raw):
+        assert main(["sample", flag, raw]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    def test_malformed_config_line_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("n=3\nseed=abc\n")
+        assert main(["sample", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+    @pytest.mark.parametrize("flag,raw", [
+        ("--method", "metropolis"), ("--schedule", "linear"), ("--d", "3"),
+        ("--degrees", "1,3"),
+    ])
+    def test_value_outside_its_set_exits_2(self, flag, raw):
+        assert main(["sample", flag, raw, "--s", "10"]) == 2
+
 
 class TestSampleCommand:
     def test_uniform_model_in_range(self, tmp_path):
@@ -98,6 +154,18 @@ class TestSampleCommand:
         assert code == 0
         vals = [float(ln) for ln in text.splitlines() if not ln.startswith("#")]
         assert len(vals) == 200
+
+    @pytest.mark.parametrize("method", ["rejection", "inverse"])
+    def test_manifest_without_grid(self, tmp_path, method):
+        code, text = run_cli(
+            tmp_path, "sample", "--method", method, "--n", "30", "--k", "50",
+            "--s", "3",
+        )
+        assert code == 0
+        manifest = [ln for ln in text.splitlines() if ln.startswith("#")]
+        assert manifest[0] == "# seed=0 S=3"
+        assert f"# method={method}" in manifest
+        assert not any(ln.startswith("# S=") for ln in manifest)
 
     def test_mala_manifest_has_acceptance_rate(self, tmp_path):
         _, text = run_cli(
@@ -214,6 +282,15 @@ class TestRefinementCommand:
     def test_deterministic(self):
         cfg = ExperimentConfig(seed=4, n=4, k=9, s=2000, t_sweep=(0, 1, 3))
         assert run_refinement(cfg) == run_refinement(cfg)
+
+    @pytest.mark.parametrize("schedule", ["constant", "decay"])
+    def test_checkpoints_do_not_restart_schedule(self, schedule):
+        # the T=5 rows are the same chain whether or not T=1 is also reported
+        cfg = ExperimentConfig(seed=4, n=4, k=9, s=2000, eps_ula=1e-3,
+                               eps_mala=1e-3, schedule=schedule)
+        one = run_refinement(replace(cfg, t_sweep=(0, 5)))
+        two = run_refinement(replace(cfg, t_sweep=(0, 1, 5)))
+        assert [r for r in one if r[0] == 5] == [r for r in two if r[0] == 5]
 
 
 class TestCostCommand:

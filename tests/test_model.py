@@ -58,6 +58,20 @@ class TestConstruction:
         again = autocorrelate(m.amplitudes)
         assert np.array_equal(m.coefficients, again)
 
+    def test_autocorrelate_matches_loop(self):
+        # the per-lag loop autocorrelate replaced, kept as the reference
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(0, 401))
+            a = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            ref = np.array(
+                [np.sum(a[: n + 1 - j] * np.conj(a[j:])) for j in range(n + 1)]
+            )
+            c = autocorrelate(a)
+            c0 = np.sum(a.real**2 + a.imag**2)
+            assert c[0] == c0
+            assert np.max(np.abs(c - ref)) <= 1e-15 * c0
+
     def test_c0_real_positive(self):
         m = random_density(20, 5)
         c0 = m.coefficients[0]
@@ -154,7 +168,7 @@ class TestPdfGrid:
         m = random_density(5, 2)
         c = EvalCounter()
         m.pdf_grid(64, c)
-        m.pdf_grid(11, c)  # direct-eval path
+        m.pdf_grid(11, c)  # K = 2N+1, the smallest grid
         assert c.pdf_evals == 75
 
 

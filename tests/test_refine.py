@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -98,6 +100,28 @@ class TestUla:
         a = ula_refine(m, batch, LangevinConfig(steps=5), 9)
         b = ula_refine(m, batch, LangevinConfig(steps=5), 9)
         assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("refine", [ula_refine, mala_refine])
+class TestChainState:
+    def test_input_ledger_untouched(self, refine):
+        m = random_density(5, 0)
+        base = grid_ancestral_sample(m, 20, BSplineKernel(1), 100, 1)
+        out = refine(m, base, LangevinConfig(steps=3), 2)
+        assert base.counter == EvalCounter(pdf_evals=20)
+        assert out.counter is not base.counter
+        assert out.counter.total_evals > base.counter.total_evals
+
+    def test_decay_schedule_continues_across_calls(self, refine):
+        m = random_density(6, 3)
+        base = grid_ancestral_sample(m, 30, BSplineKernel(1), 500, 4)
+        cfg = LangevinConfig(step_size=1e-3, schedule="decay", steps=5)
+        whole = refine(m, base, cfg, 5)
+        rng = np.random.default_rng(5)
+        split = refine(m, base, replace(cfg, steps=1), rng)
+        split = refine(m, split, replace(cfg, steps=4), rng)
+        assert np.array_equal(whole.samples, split.samples)
+        assert whole.meta["T"] == split.meta["T"] == 5
 
 
 class TestMala:
