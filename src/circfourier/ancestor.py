@@ -102,11 +102,14 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
 
 
 def reconstruct_pmf(table: AliasTable) -> np.ndarray:
-    """Invert the table: cell k contributes prob[k]/K to k, rest to alias[k]."""
-    k = table.size
-    out = table.prob / k
-    np.add.at(out, table.alias, (1.0 - table.prob) / k)
-    return out
+    """Invert the table: cell k contributes prob[k]/K to k, rest to alias[k].
+
+    Each cell's shares are summed before the one division by K, so that
+    many shares landing on one cell are not each rounded first.
+    """
+    shares = np.bincount(table.alias, weights=1.0 - table.prob,
+                         minlength=table.size)
+    return (table.prob + shares) / table.size
 
 
 def alias_select(table: AliasTable, idx, u):

@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError("s must be >= 1")
         if self.t < 0:
             raise ConfigError("t must be >= 0")
+        if any(t < 0 for t in self.t_sweep):
+            raise ConfigError("t_sweep entries must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.schedule not in SCHEDULES:
@@ -277,9 +279,17 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigError, so that main reports it on its
+    error path (exit 2) instead of exiting from inside argparse."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One flag per ExperimentConfig field, each taking the value as text."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circfourier",
         description="Circular Fourier density sampling experiments",
     )
@@ -335,8 +345,8 @@ def run_command(command: str, cfg: ExperimentConfig, output: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = config_from_args(args)
         run_command(args.command, cfg, args.output)
     except BrokenPipeError:

@@ -17,6 +17,7 @@ from .batch import SampleBatch
 from .model import EvalCounter, FourierDensity, wrap
 
 SUPPORTED_DEGREES = (0, 1, 2)
+_BLOCK = 1 << 14  # points per block of compound_pdf, as in model.py
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,35 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
     """Exact sampling density q(x) = sum_k (K/2) w((K/2)(x - x_k)) p[k].
 
     Kernel copies wrap around the circle (shifts at x_k +/- 2); only the
-    few kernels overlapping x are touched.
+    D+1 kernels overlapping x are touched, in increasing k, the first at
+    k0 = floor(t - (D-1)/2) with t = (K/2)(x + 1).  Points go in blocks of
+    _BLOCK, so the temporaries stay cache-sized at any number of points.
     """
     x = np.asarray(x, dtype=float)
+    q = np.empty(x.shape)
+    flat_x, flat_q = x.reshape(-1), q.reshape(-1)
+    for lo in range(0, flat_x.size, _BLOCK):
+        flat_q[lo : lo + _BLOCK] = _compound_block(
+            pmf, kernel, flat_x[lo : lo + _BLOCK])
+    return q if np.ndim(q) else float(q)
+
+
+def _compound_block(pmf: AncestorPmf, kernel: BSplineKernel,
+                    x: np.ndarray) -> np.ndarray:
     k_grid = pmf.size
     t = 0.5 * k_grid * (x + 1.0)
-    k0 = np.floor(t).astype(int)
+    base = np.floor(t)
+    # k0 from the exact fraction t - floor(t), so that rounding in
+    # t - (D-1)/2 cannot skip an overlapping kernel.
+    k0 = base.astype(int) - kernel.degree // 2
+    if kernel.degree % 2 == 0:
+        k0 += t - base >= 0.5
     q = np.zeros(t.shape)
-    # Offsets cover the kernel support halfwidth <= 1.5 around floor(t).
-    for off in range(-2, 3):
+    for off in range(kernel.degree + 1):
         k = k0 + off
         q += kernel.pdf(t - k) * pmf.probs[k % k_grid]
     q *= 0.5 * k_grid
-    return q if np.ndim(q) else float(q)
+    return q
 
 
 def grid_ancestral_sample(

@@ -6,6 +6,7 @@ plus the closed-form grid-approximation bounds quantify sample quality.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ from .model import EvalCounter, FourierDensity
 KL_FLOOR = 1e-12
 _TV_REFINE_TOL = 1e-8
 _TV_MAX_DOUBLINGS = 3
+# Most proposals held at once by rejection_sample.
+_REJECTION_CHUNK = 1 << 18
 
 
 @dataclass
@@ -34,9 +37,19 @@ def rejection_sample(
 ) -> SampleBatch:
     """Exact i.i.d. samples via rejection from a uniform envelope.
 
-    The envelope constant M = 1 + 2 sum |c_n|/c_0 guarantees M/2 >= p(x)
-    analytically (looser acceptance is fine for an oracle).  Bills one pdf
-    evaluation per proposal; proposal count goes into the manifest.
+    The envelope constant M = 1 + 2 sum |c_n|/c_0 (recorded as
+    meta["envelope"]) guarantees M/2 >= p(x) analytically (looser
+    acceptance is fine for an oracle); a call costs S*M proposals on
+    average.
+
+    Bills one pdf evaluation per proposal, and the bill stops at the
+    proposal that yields the final acceptance; the proposal count goes into
+    the manifest.  Proposals come in rounds of C = 1.1 (S - accepted) M
+    (at least 1024): C uniforms x, then C uniforms u, from `rng`.  A round
+    is held at most _REJECTION_CHUNK proposals at a time, its u drawn from
+    a copy of `rng` that runs C draws ahead, so memory beyond the output is
+    flat in `size` while the samples, the bill and the final state of
+    `rng` are those of drawing each round whole.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -45,34 +58,54 @@ def rejection_sample(
     if counter is None:
         counter = EvalCounter()
     m_const = model.envelope_constant()
-    out = []
+    samples = np.empty(size)
     collected = 0
     n_proposals = 0
     while collected < size:
         chunk = max(1024, int((size - collected) * m_const * 1.1))
-        x = rng.uniform(-1.0, 1.0, chunk)
-        u = rng.random(chunk)
-        keep = u <= model.pdf(x) / (0.5 * m_const)
-        acc_idx = np.flatnonzero(keep)
-        if collected + acc_idx.size >= size:
-            # stop at the proposal that yields the final acceptance, so the
-            # bill matches drawing proposals one at a time
-            need = size - collected
-            consumed = int(acc_idx[need - 1]) + 1
-            out.append(x[acc_idx[:need]])
-        else:
-            consumed = chunk
-            out.append(x[acc_idx])
-        n_proposals += consumed
-        counter.pdf_evals += consumed
-        collected += acc_idx.size
-    samples = np.concatenate(out)
+        u_rng = copy.deepcopy(rng)
+        _skip(u_rng, chunk)
+        drawn = 0
+        while drawn < chunk and collected < size:
+            step = min(_REJECTION_CHUNK, chunk - drawn)
+            x = rng.uniform(-1.0, 1.0, step)
+            u = u_rng.random(step)
+            drawn += step
+            ratio = model.pdf(x)
+            ratio /= 0.5 * m_const
+            acc_idx = np.flatnonzero(u <= ratio)
+            if collected + acc_idx.size >= size:
+                # stop at the proposal that yields the final acceptance, so
+                # the bill matches drawing proposals one at a time
+                acc_idx = acc_idx[: size - collected]
+                consumed = int(acc_idx[-1]) + 1
+            else:
+                consumed = step
+            samples[collected : collected + acc_idx.size] = x[acc_idx]
+            n_proposals += consumed
+            counter.pdf_evals += consumed
+            collected += acc_idx.size
+        # leave rng past the whole round: its C x and C u
+        _skip(u_rng, chunk - drawn)
+        rng.bit_generator.state = u_rng.bit_generator.state
     return SampleBatch(
         samples=samples,
         seed=int(seed) if seed is not None else None,
         counter=counter,
-        meta={"proposals": n_proposals, "method": "rejection"},
+        meta={"proposals": n_proposals, "method": "rejection",
+              "envelope": m_const},
     )
+
+
+def _skip(rng: np.random.Generator, n: int) -> None:
+    """Move `rng` past n uniform doubles, one 64-bit output each."""
+    bits = rng.bit_generator
+    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        bits.advance(n)
+        return
+    # other bit generators have no advance in single 64-bit outputs
+    for start in range(0, n, _REJECTION_CHUNK):
+        rng.random(min(_REJECTION_CHUNK, n - start))
 
 
 def inverse_transform_sample(

@@ -111,6 +111,19 @@ class TestConfig:
         assert main(["sample", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--bogus", "1"], ["sample", "--n"], ["nosuch"], [],
+    ])
+    def test_usage_error_returns_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: circfourier")
+
+    def test_negative_t_sweep_rejected(self):
+        assert main(["refinement", "--n", "2", "--k", "5", "--s", "200",
+                     "--t-sweep", "0,-3,2"]) == 2
+        with pytest.raises(ConfigError):
+            ExperimentConfig(t_sweep=(0, -3, 2)).validate()
+
     @pytest.mark.parametrize("flag,raw", [
         ("--method", "metropolis"), ("--schedule", "linear"), ("--d", "3"),
         ("--degrees", "1,3"),
@@ -165,6 +178,8 @@ class TestSampleCommand:
         manifest = [ln for ln in text.splitlines() if ln.startswith("#")]
         assert manifest[0] == "# seed=0 S=3"
         assert f"# method={method}" in manifest
+        if method == "rejection":
+            assert any(ln.startswith("# envelope=") for ln in manifest)
         assert not any(ln.startswith("# S=") for ln in manifest)
 
     def test_mala_manifest_has_acceptance_rate(self, tmp_path):

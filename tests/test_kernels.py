@@ -13,6 +13,21 @@ from circfourier import (
 )
 
 
+def five_offset_compound_pdf(pmf, kernel, x):
+    """The former compound_pdf, which adds the kernels at five offsets
+    around floor(t) whether or not they overlap x; kept as the reference."""
+    x = np.asarray(x, dtype=float)
+    k_grid = pmf.size
+    t = 0.5 * k_grid * (x + 1.0)
+    k0 = np.floor(t).astype(int)
+    q = np.zeros(t.shape)
+    for off in range(-2, 3):
+        k = k0 + off
+        q += kernel.pdf(t - k) * pmf.probs[k % k_grid]
+    q *= 0.5 * k_grid
+    return q if np.ndim(q) else float(q)
+
+
 class TestKernelPdf:
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
@@ -144,6 +159,29 @@ class TestCompoundPdf:
         mids = -1.0 + (np.arange(cells) + 0.5) * 2.0 / cells
         q = compound_pdf(pmf, BSplineKernel(degree), mids)
         assert np.sum(q) * 2.0 / cells == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_equals_five_offset_sum(self, degree):
+        # the same nonzero terms in the same order: bit-identical
+        rng = np.random.default_rng(11)
+        kernel = BSplineKernel(degree)
+        for case in range(20):
+            n = int(rng.integers(0, 60))
+            k = int(rng.integers(2 * n + 1, 4 * n + 40))
+            pmf = build_ancestor(random_density(n, case), k)
+            grid = pmf.grid()
+            mids = grid + 1.0 / k
+            xs = np.concatenate([
+                grid, mids, np.nextafter(grid, 2.0), np.nextafter(mids, -2.0),
+                rng.uniform(-1.0, 1.0, 20000), [-1.0, np.nextafter(1.0, 0.0)],
+            ])
+            # more points than one block, flat and as a 2-D array
+            for x in (xs, xs[: 3 * (xs.size // 3)].reshape(3, -1)):
+                assert np.array_equal(compound_pdf(pmf, kernel, x),
+                                      five_offset_compound_pdf(pmf, kernel, x))
+            for x in (-1.0, float(mids[0]), np.nextafter(1.0, 0.0)):
+                assert compound_pdf(pmf, kernel, x) == \
+                    five_offset_compound_pdf(pmf, kernel, x)
 
     def test_wraps_at_boundary(self):
         # mass from the cell at k=0 must appear just below x=1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -55,6 +57,61 @@ class TestRejectionSampling:
         a = rejection_sample(m, 1000, 7)
         b = rejection_sample(m, 1000, 7)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_envelope_recorded(self):
+        # the analytic M is the one used: 1 and 2 exactly
+        assert rejection_sample(FourierDensity([1.0]), 10, 0).meta["envelope"] == 1.0
+        cosine = FourierDensity([1.0, 1.0])
+        assert rejection_sample(cosine, 10, 0).meta["envelope"] == 2.0
+
+    def test_memory_flat_in_size(self):
+        """Traced peak of one call stays within its output plus a fixed
+        number of proposal chunks, at any S."""
+        m = random_density(200, 0)
+        for size in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                batch = rejection_sample(m, size, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            nbytes = batch.samples.nbytes
+            assert peak <= 2 * nbytes + 12 * 2**20, (size, peak / 2**20)
+
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("n,size", [(0, 5000), (1, 10**5), (50, 2 * 10**5),
+                                        (200, 4 * 10**5), (5, 3), (50, 1)])
+    def test_matches_whole_rounds(self, bits, n, size):
+        """Samples, bill and the generator's final state equal those of
+        drawing each round of proposals whole, with either skip path."""
+        m = random_density(n, 100 + n)
+        rng, ref_rng = np.random.Generator(bits(n)), np.random.Generator(bits(n))
+        c = EvalCounter()
+        batch = rejection_sample(m, size, rng, c)
+        ref, ref_proposals = _whole_rounds(m, size, ref_rng)
+        assert np.array_equal(batch.samples, ref)
+        assert batch.meta["proposals"] == c.pdf_evals == ref_proposals
+        assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def _whole_rounds(model, size, rng):
+    """The former rejection loop: each round of proposals drawn at once."""
+    m_const = model.envelope_constant()
+    out, collected, proposals = [], 0, 0
+    while collected < size:
+        chunk = max(1024, int((size - collected) * m_const * 1.1))
+        x = rng.uniform(-1.0, 1.0, chunk)
+        u = rng.random(chunk)
+        acc_idx = np.flatnonzero(u <= model.pdf(x) / (0.5 * m_const))
+        if collected + acc_idx.size >= size:
+            acc_idx = acc_idx[: size - collected]
+            proposals += int(acc_idx[-1]) + 1
+        else:
+            proposals += chunk
+        out.append(x[acc_idx])
+        collected += acc_idx.size
+    return np.concatenate(out), proposals
 
 
 class TestInverseTransformSampling:
