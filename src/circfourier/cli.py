@@ -93,6 +93,8 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.k_sweep, self.k_sweep[1:])
         ):
             raise ConfigError("k_sweep must be strictly increasing")
+        if not self.degrees:
+            raise ConfigError("degrees must not be empty")
         if any(d not in SUPPORTED_DEGREES for d in self.degrees):
             raise ConfigError(f"degrees entries must be in {SUPPORTED_DEGREES}")
 
@@ -188,6 +190,8 @@ def run_convergence(cfg: ExperimentConfig) -> list[tuple[int, int, int, float]]:
 
     Every trial uses the model file's density if one is named, else a
     random density of cfg.n terms; only the reference sample differs.
+    Trial t draws from default_rng(seed + t): its random model (if any)
+    first, then its reference sample.
     """
     cfg = replace(cfg, k_sweep=cfg.k_sweep or (128, 256, 512, 1024, 2048))
     cfg.validate(require_k=False)

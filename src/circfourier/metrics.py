@@ -6,7 +6,6 @@ plus the closed-form grid-approximation bounds quantify sample quality.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,8 @@ from .model import EvalCounter, FourierDensity
 KL_FLOOR = 1e-12
 _TV_REFINE_TOL = 1e-8
 _TV_MAX_DOUBLINGS = 3
+# Intervals of the tv_quadrature (starting) and w1_quadrature grids.
+_QUAD_GRID = 20000
 # Most proposals held at once by rejection_sample.
 _REJECTION_CHUNK = 1 << 18
 
@@ -44,12 +45,9 @@ def rejection_sample(
 
     Bills one pdf evaluation per proposal, and the bill stops at the
     proposal that yields the final acceptance; the proposal count goes into
-    the manifest.  Proposals come in rounds of C = 1.1 (S - accepted) M
-    (at least 1024): C uniforms x, then C uniforms u, from `rng`.  A round
-    is held at most _REJECTION_CHUNK proposals at a time, its u drawn from
-    a copy of `rng` that runs C draws ahead, so memory beyond the output is
-    flat in `size` while the samples, the bill and the final state of
-    `rng` are those of drawing each round whole.
+    the manifest.  Each pass draws C = 1.1 (S - accepted) M proposals (at
+    least 1024, at most _REJECTION_CHUNK, so memory beyond the output is
+    flat in `size`): C uniforms x, then C uniforms u, from `rng`.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -62,32 +60,24 @@ def rejection_sample(
     collected = 0
     n_proposals = 0
     while collected < size:
-        chunk = max(1024, int((size - collected) * m_const * 1.1))
-        u_rng = copy.deepcopy(rng)
-        _skip(u_rng, chunk)
-        drawn = 0
-        while drawn < chunk and collected < size:
-            step = min(_REJECTION_CHUNK, chunk - drawn)
-            x = rng.uniform(-1.0, 1.0, step)
-            u = u_rng.random(step)
-            drawn += step
-            ratio = model.pdf(x)
-            ratio /= 0.5 * m_const
-            acc_idx = np.flatnonzero(u <= ratio)
-            if collected + acc_idx.size >= size:
-                # stop at the proposal that yields the final acceptance, so
-                # the bill matches drawing proposals one at a time
-                acc_idx = acc_idx[: size - collected]
-                consumed = int(acc_idx[-1]) + 1
-            else:
-                consumed = step
-            samples[collected : collected + acc_idx.size] = x[acc_idx]
-            n_proposals += consumed
-            counter.pdf_evals += consumed
-            collected += acc_idx.size
-        # leave rng past the whole round: its C x and C u
-        _skip(u_rng, chunk - drawn)
-        rng.bit_generator.state = u_rng.bit_generator.state
+        step = min(_REJECTION_CHUNK,
+                   max(1024, int((size - collected) * m_const * 1.1)))
+        x = rng.uniform(-1.0, 1.0, step)
+        u = rng.random(step)
+        ratio = model.pdf(x)
+        ratio /= 0.5 * m_const
+        acc_idx = np.flatnonzero(u <= ratio)
+        if collected + acc_idx.size >= size:
+            # stop at the proposal that yields the final acceptance, so the
+            # bill matches drawing proposals one at a time
+            acc_idx = acc_idx[: size - collected]
+            consumed = int(acc_idx[-1]) + 1
+        else:
+            consumed = step
+        samples[collected : collected + acc_idx.size] = x[acc_idx]
+        n_proposals += consumed
+        counter.pdf_evals += consumed
+        collected += acc_idx.size
     return SampleBatch(
         samples=samples,
         seed=int(seed) if seed is not None else None,
@@ -95,17 +85,6 @@ def rejection_sample(
         meta={"proposals": n_proposals, "method": "rejection",
               "envelope": m_const},
     )
-
-
-def _skip(rng: np.random.Generator, n: int) -> None:
-    """Move `rng` past n uniform doubles, one 64-bit output each."""
-    bits = rng.bit_generator
-    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        bits.advance(n)
-        return
-    # other bit generators have no advance in single 64-bit outputs
-    for start in range(0, n, _REJECTION_CHUNK):
-        rng.random(min(_REJECTION_CHUNK, n - start))
 
 
 def inverse_transform_sample(
@@ -145,23 +124,13 @@ def inverse_transform_sample(
     )
 
 
-def _check_grid(grid_points: int) -> None:
-    if grid_points < 1000:
-        raise ValueError("grid_points must be >= 1000")
-
-
-def tv_quadrature(
-    p_eval,
-    q_eval,
-    grid_points: int = 20000,
-) -> DivergenceReport:
+def tv_quadrature(p_eval, q_eval) -> DivergenceReport:
     """Trapezoid quadrature of (1/2) |p - q| over [-1, 1).
 
     The grid doubles, at most _TV_MAX_DOUBLINGS times, until successive
     estimates agree within _TV_REFINE_TOL.
     """
-    _check_grid(grid_points)
-    m = grid_points
+    m = _QUAD_GRID
     prev = None
     for _ in range(_TV_MAX_DOUBLINGS + 1):
         xs = np.linspace(-1.0, 1.0, m + 1)
@@ -180,14 +149,9 @@ def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def w1_quadrature(
-    p_eval,
-    q_eval,
-    grid_points: int = 20000,
-) -> DivergenceReport:
+def w1_quadrature(p_eval, q_eval) -> DivergenceReport:
     """Quadrature of |P - Q| (absolute CDF difference) over [-1, 1)."""
-    _check_grid(grid_points)
-    xs = np.linspace(-1.0, 1.0, grid_points + 1)
+    xs = np.linspace(-1.0, 1.0, _QUAD_GRID + 1)
     dx = xs[1] - xs[0]
     p_cdf = _cumtrapz(np.asarray(p_eval(xs), dtype=float), dx)
     q_cdf = _cumtrapz(np.asarray(q_eval(xs), dtype=float), dx)

@@ -126,7 +126,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("flag,raw", [
         ("--method", "metropolis"), ("--schedule", "linear"), ("--d", "3"),
-        ("--degrees", "1,3"),
+        ("--degrees", "1,3"), ("--degrees", ""),
     ])
     def test_value_outside_its_set_exits_2(self, flag, raw):
         assert main(["sample", flag, raw, "--s", "10"]) == 2

@@ -80,11 +80,11 @@ class TestRejectionSampling:
 
 
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
-    @pytest.mark.parametrize("n,size", [(0, 5000), (1, 10**5), (50, 2 * 10**5),
-                                        (200, 4 * 10**5), (5, 3), (50, 1)])
+    @pytest.mark.parametrize("n,size", [(0, 5000), (1, 10**5), (5, 3), (50, 1)])
     def test_matches_whole_rounds(self, bits, n, size):
-        """Samples, bill and the generator's final state equal those of
-        drawing each round of proposals whole, with either skip path."""
+        """A call whose proposals fit in one chunk (1.1 S M <= 2^18) keeps
+        its stream unchanged: samples, bill and the generator's final state
+        equal those of drawing each round of proposals whole."""
         m = random_density(n, 100 + n)
         rng, ref_rng = np.random.Generator(bits(n)), np.random.Generator(bits(n))
         c = EvalCounter()
@@ -180,10 +180,6 @@ class TestTvQuadrature:
         rep = tv_quadrature(m.pdf, lambda x: compound_pdf(pmf, ker, x))
         assert rep.estimate <= tv_bound(1, 8)
         assert tv_bound(1, 8) == pytest.approx(np.pi**2 * 6 / (12 * 64))
-
-    def test_grid_too_coarse_rejected(self):
-        with pytest.raises(ValueError):
-            tv_quadrature(lambda x: x, lambda x: x, grid_points=100)
 
 
 class TestBounds:
