@@ -31,8 +31,7 @@ from .metrics import (
 from .model import EvalCounter, load_density, random_density
 from .refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
 
-GRID_METHODS = ("daas", "daas+ula", "daas+mala")
-METHODS = GRID_METHODS + ("rejection", "inverse")
+METHODS = ("daas", "daas+ula", "daas+mala", "rejection", "inverse")
 
 
 class ConfigError(ValueError):
@@ -68,13 +67,13 @@ class ExperimentConfig:
     tol: float = 1e-10
     model_file: str = ""
 
-    def validate(self, require_k: bool = True) -> None:
+    def validate(self) -> None:
+        """Check every setting but k, which each grid checks against its
+        model's N where it is built (FourierDensity.pdf_grid)."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
         if self.n < 0:
             raise ConfigError("n must be >= 0")
-        if require_k and not self.model_file:
-            self.check_k(self.n)
         if self.d not in SUPPORTED_DEGREES:
             raise ConfigError(f"d must be one of {SUPPORTED_DEGREES}")
         if self.s < 1:
@@ -97,11 +96,6 @@ class ExperimentConfig:
             raise ConfigError("degrees must not be empty")
         if any(d not in SUPPORTED_DEGREES for d in self.degrees):
             raise ConfigError(f"degrees entries must be in {SUPPORTED_DEGREES}")
-
-    def check_k(self, n_terms: int) -> None:
-        """The grid must resolve all n_terms frequencies: k >= 2n+1."""
-        if self.k < 2 * n_terms + 1:
-            raise ConfigError(f"k={self.k} below minimum 2n+1={2 * n_terms + 1}")
 
 
 def _parse_value(raw: str, current):
@@ -141,24 +135,19 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _get_model(cfg: ExperimentConfig, rng, require_k: bool = True):
-    """The model file's density, with k checked against its N if
-    `require_k`; else a random density of cfg.n terms, whose k validate()
-    has checked."""
-    if not cfg.model_file:
-        return random_density(cfg.n, rng)
-    model = load_density(cfg.model_file)
-    if require_k:
-        cfg.check_k(model.n_terms)
-    return model
+def _get_model(cfg: ExperimentConfig, rng):
+    """The model file's density if one is named, else a random density of
+    cfg.n terms drawn from rng."""
+    if cfg.model_file:
+        return load_density(cfg.model_file)
+    return random_density(cfg.n, rng)
 
 
 def run_sample(cfg: ExperimentConfig) -> SampleBatch:
-    """Draw cfg.s samples; k is checked only for the grid methods."""
-    uses_k = cfg.method in GRID_METHODS
-    cfg.validate(require_k=uses_k)
+    """Draw cfg.s samples; methods without a grid ignore cfg.k."""
+    cfg.validate()
     model_rng, draw_rng = np.random.default_rng(cfg.seed).spawn(2)
-    model = _get_model(cfg, model_rng, require_k=uses_k)
+    model = _get_model(cfg, model_rng)
     counter = EvalCounter()
     if cfg.method == "rejection":
         batch = rejection_sample(model, cfg.s, draw_rng, counter)
@@ -194,15 +183,11 @@ def run_convergence(cfg: ExperimentConfig) -> list[tuple[int, int, int, float]]:
     first, then its reference sample.
     """
     cfg = replace(cfg, k_sweep=cfg.k_sweep or (128, 256, 512, 1024, 2048))
-    cfg.validate(require_k=False)
-    file_model = load_density(cfg.model_file) if cfg.model_file else None
-    n_terms = cfg.n if file_model is None else file_model.n_terms
-    if min(cfg.k_sweep) < 2 * n_terms + 1:
-        raise ConfigError("k_sweep entries must satisfy K >= 2n+1")
+    cfg.validate()
     rows = []
     for trial in range(cfg.trials):
         trng = np.random.default_rng(cfg.seed + trial)
-        model = file_model or random_density(cfg.n, trng)
+        model = _get_model(cfg, trng)
         ref = rejection_sample(model, cfg.s, trng)
         p_vals = model.pdf(ref.samples)
         for k_grid in cfg.k_sweep:
@@ -230,10 +215,10 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
     rng = np.random.default_rng(cfg.seed)
     model_rng, ref_rng, daas_rng, ula_rng, mala_rng = rng.spawn(5)
     model = _get_model(cfg, model_rng)
-    ref = rejection_sample(model, cfg.s, ref_rng).samples
     base = grid_ancestral_sample(
         model, cfg.k, BSplineKernel(cfg.d), cfg.s, daas_rng
     )
+    ref = rejection_sample(model, cfg.s, ref_rng).samples
     w1_zero = empirical_w1(base.samples, ref).estimate
     rows = [(0, "daas", w1_zero)]
     chains = [
@@ -263,19 +248,22 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
 def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
     """Rows (method, model evaluations) for drawing S samples.
 
-    Grid methods are closed-form in S, K, T; the rejection row is measured
+    Grid methods are the grid's bill (K, from building it) plus the
+    closed-form refinement bill in S and T; the rejection row is measured
     by actually running the sampler.
     """
     cfg.validate()
     model_rng, draw_rng = np.random.default_rng(cfg.seed).spawn(2)
     model = _get_model(cfg, model_rng)
+    grid = EvalCounter()
+    build_ancestor(model, cfg.k, grid)
     counter = EvalCounter()
     rejection_sample(model, cfg.s, draw_rng, counter)
     return [
         ("rejection", counter.total_evals),
-        ("ula", EvalCounter(cfg.k, cfg.s * cfg.t).total_evals),
-        ("mala", EvalCounter(cfg.k, 2 * cfg.s * cfg.t).total_evals),
-        ("triangular", EvalCounter(cfg.k).total_evals),
+        ("ula", EvalCounter(grid.pdf_evals, cfg.s * cfg.t).total_evals),
+        ("mala", EvalCounter(grid.pdf_evals, 2 * cfg.s * cfg.t).total_evals),
+        ("triangular", grid.total_evals),
     ]
 
 

@@ -14,10 +14,9 @@ import numpy as np
 
 from .ancestor import AncestorPmf, build_alias, build_ancestor, sample_ancestors
 from .batch import SampleBatch
-from .model import EvalCounter, FourierDensity, wrap
+from .model import _BLOCK, EvalCounter, FourierDensity, wrap
 
 SUPPORTED_DEGREES = (0, 1, 2)
-_BLOCK = 1 << 14  # points per block of compound_pdf, as in model.py
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,8 @@ def inverse_transform_sample(
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     if counter is None:
@@ -110,7 +110,8 @@ def inverse_transform_sample(
     target = rng.random(size)
     lo = np.full(size, -1.0)
     hi = np.full(size, 1.0)
-    for _ in range(math.ceil(math.log2(2.0 / tol))):
+    # log2(2/tol) as 1 - log2(tol): 2/tol overflows for subnormal tol
+    for _ in range(math.ceil(1.0 - math.log2(tol))):
         mid = 0.5 * (lo + hi)
         below = model.cdf(mid) < target
         counter.pdf_evals += size

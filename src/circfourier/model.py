@@ -34,10 +34,6 @@ class EvalCounter:
     def total_evals(self) -> int:
         return self.pdf_evals + 2 * self.score_evals
 
-    def merge(self, other: "EvalCounter") -> None:
-        self.pdf_evals += other.pdf_evals
-        self.score_evals += other.score_evals
-
 
 def autocorrelate(amplitudes) -> np.ndarray:
     """c_n = sum_{k=0}^{N-n} a_k * conj(a_{k+n}) for n = 0..N."""

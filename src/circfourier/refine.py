@@ -10,6 +10,7 @@ sizes used here (eps <= 1e-3 on a period-2 circle).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +34,8 @@ class LangevinConfig:
     steps: int = 0
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step_size must be finite and positive")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.steps < 0:

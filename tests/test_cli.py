@@ -2,13 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circfourier import FourierDensity, random_density, save_density
+from circfourier.refine import SCHEDULES
 from circfourier.cli import (
+    METHODS,
     ConfigError,
     ExperimentConfig,
     build_parser,
@@ -54,8 +58,8 @@ class TestConfig:
             load_config(path)
 
     def test_k_below_nyquist_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(n=30, k=50).validate()
+        with pytest.raises(ValueError, match=r"2N\+1"):
+            run_sample(ExperimentConfig(n=30, k=50))
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -130,6 +134,48 @@ class TestConfig:
     ])
     def test_value_outside_its_set_exits_2(self, flag, raw):
         assert main(["sample", flag, raw, "--s", "10"]) == 2
+
+    @pytest.mark.parametrize("method,flag", [
+        ("daas+ula", "--eps-ula"), ("daas+mala", "--eps-mala"),
+    ])
+    def test_infinite_step_size_exits_2(self, tmp_path, method, flag):
+        code, _ = run_cli(tmp_path, "sample", "--method", method, flag, "inf",
+                          "--n", "3", "--k", "7", "--s", "10", "--t", "1")
+        assert code == 2
+
+
+_GRID_COMMANDS = [
+    ("sample", "daas"), ("sample", "daas+ula"), ("sample", "daas+mala"),
+    ("refinement", "daas"), ("cost", "daas"), ("convergence", "daas"),
+]
+
+
+class TestGridSizeGuard:
+    """Every command that builds a grid needs K >= 2N+1, with N the model
+    file's under --model-file, and reports a smaller K with exit 2."""
+
+    @pytest.mark.parametrize("source", ["n", "model-file"])
+    @pytest.mark.parametrize("command,method", _GRID_COMMANDS)
+    @pytest.mark.parametrize("extra,code", [(0, 2), (1, 0)])
+    def test_k_against_model_n(self, tmp_path, capsys, command, method,
+                               source, extra, code):
+        n_model = 2
+        k = 2 * n_model + extra
+        k_flag = "--k-sweep" if command == "convergence" else "--k"
+        argv = [command, "--method", method, k_flag, str(k), "--s", "50",
+                "--t", "1", "--t-sweep", "0,1", "--degrees", "1"]
+        if source == "n":
+            argv += ["--n", str(n_model)]
+        else:
+            # a config n that would flip the outcome if k were checked
+            # against it instead of the file's N
+            path = tmp_path / "model.txt"
+            save_density(random_density(n_model, 0), path)
+            argv += ["--model-file", str(path), "--n", "0" if code else "9"]
+        got, _ = run_cli(tmp_path, *argv)
+        assert got == code
+        if code:
+            assert "2n+1" in capsys.readouterr().err.lower()
 
 
 class TestSampleCommand:
@@ -433,3 +479,59 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         code, _ = run_cli(tmp_path, "sample", "--config", "/nonexistent.cfg")
         assert code == 2
+
+
+def _csv(lists):
+    return lists.map(lambda v: ",".join(map(str, v)))
+
+
+# Valid values for every flag; one flag at a time may take an odd value.
+_FLAGS = {
+    "--seed": st.integers(0, 2**32),
+    "--n": st.integers(0, 8),
+    "--k": st.integers(1, 40),
+    "--d": st.integers(0, 2),
+    "--s": st.integers(1, 64),
+    "--t": st.integers(0, 3),
+    "--eps-ula": st.sampled_from([1e-5, 1e-3, 0.5, 1e300]),
+    "--eps-mala": st.sampled_from([1e-5, 1e-3, 0.5, 1e300]),
+    "--schedule": st.sampled_from(SCHEDULES),
+    "--method": st.sampled_from(METHODS),
+    "--trials": st.integers(1, 2),
+    "--k-sweep": _csv(st.lists(st.integers(1, 40), unique=True, max_size=3)
+                      .map(sorted)),
+    "--t-sweep": _csv(st.lists(st.integers(0, 3), max_size=3)),
+    "--degrees": _csv(st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+    "--tol": st.sampled_from([1e-10, 1e-3, 0.5, 10.0, 5e-324]),
+}
+_ODD = ["-1", "0", "3", "inf", "nan", "-inf", "", "x", "1,1", "2,-1", "linear"]
+# None: no model file; int: a valid file of that many terms; bytes: any file
+_MODEL_FILES = st.one_of(st.none(), st.integers(0, 8), st.binary(max_size=40))
+
+
+class TestFuzzMain:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["sample", "convergence", "refinement", "cost"]),
+        values=st.fixed_dictionaries(_FLAGS),
+        odd=st.one_of(st.none(), st.tuples(st.sampled_from(list(_FLAGS)),
+                                           st.sampled_from(_ODD))),
+        model=_MODEL_FILES,
+    )
+    def test_exit_code_contract(self, command, values, odd, model):
+        """Any small config and any model file: main returns 0, 2 or 3."""
+        if odd is not None:
+            values[odd[0]] = odd[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, "--output", os.path.join(tmp, "out.csv")]
+            for flag, value in values.items():
+                argv += [flag, str(value)]
+            if model is not None:
+                path = os.path.join(tmp, "model.txt")
+                if isinstance(model, int):
+                    save_density(random_density(model, 0), path)
+                else:
+                    with open(path, "wb") as fh:
+                        fh.write(model)
+                argv += ["--model-file", path]
+            assert main(argv) in (0, 2, 3)

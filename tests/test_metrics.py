@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,14 @@ class TestInverseTransformSampling:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             inverse_transform_sample(FourierDensity([1.0]), 10, 0, tol=0.0)
+        with pytest.raises(ValueError):
+            inverse_transform_sample(FourierDensity([1.0]), 10, 0, tol=math.inf)
+
+    def test_subnormal_tol(self):
+        # 2/tol overflows; the bisection still runs ceil(log2(2/tol)) steps
+        c = EvalCounter()
+        inverse_transform_sample(FourierDensity([1.0]), 3, 0, tol=5e-324, counter=c)
+        assert c.pdf_evals == 3 * 1075
 
 
 def _invert(model, u, tol):

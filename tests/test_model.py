@@ -336,13 +336,3 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ValueError):
             load_density(path)
-
-
-class TestEvalCounter:
-    def test_merge(self):
-        a = EvalCounter(pdf_evals=3, score_evals=2)
-        b = EvalCounter(pdf_evals=1, score_evals=4)
-        a.merge(b)
-        assert a.pdf_evals == 4
-        assert a.score_evals == 6
-        assert a.total_evals == 16

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,8 @@ class TestLangevinConfig:
     def test_invalid(self):
         with pytest.raises(ValueError):
             LangevinConfig(step_size=0.0)
+        with pytest.raises(ValueError):
+            LangevinConfig(step_size=math.inf)
         with pytest.raises(ValueError):
             LangevinConfig(schedule="linear")
         with pytest.raises(ValueError):
