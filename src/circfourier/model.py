@@ -17,6 +17,22 @@ PDF_FLOOR = 1e-12
 
 _BLOCK = 1 << 14  # points per block of the pointwise evaluations
 
+# e^{i pi x} by table and series (Tang 1989; Cody & Waite 1980): x rounds to
+# m/J, m = rint(J x), and u = T_m (1 + eps) with T_m = e^{i pi m / J} from a
+# table of double-double precision and eps = e^{i d} - 1,
+# d = fl(pi x) - pi m / J.
+_J = 1 << 10
+# Adding 1.5 * 2^42 rounds x to a multiple of 1/J and leaves m in the low
+# mantissa bits.
+_ROUND = 1.5 * 2.0**42
+# pi in three pieces (23, 21 and 53 bits; the sum is within 2^-102 of pi):
+# m/J times each of the first two is exact while |m| <= 2^30.
+_PI_PIECES = tuple(map(float.fromhex, (
+    "0x1.921fb4p+1", "0x1.4442d0p-23", "0x1.8469898cc5170p-47")))
+# Past this |x| the pieces are no longer exact, and x is first reduced by
+# its period 2.
+_REDUCE_MAX = 2.0**20
+
 
 @dataclass
 class EvalCounter:
@@ -73,6 +89,11 @@ class FourierDensity:
         self.scale = float(scale)
         self.offset = float(offset)
         self._c0 = float(np.real(self.coefficients[0]))
+        if not math.isfinite(self._c0):
+            raise ValueError(
+                "normalization constant c_0 = sum |a_k|^2 overflows; "
+                "rescale the amplitudes"
+            )
         # ratios[n-1] = c_n / c_0 for n = 1..N
         self._ratios = self.coefficients[1:] / self._c0
 
@@ -85,8 +106,9 @@ class FourierDensity:
         A(w) = sum_k a_k w^k at w = e^{-i pi x}.  Bills one pdf evaluation per
         point."""
         vals = np.empty(np.shape(x))
+        flat = vals.reshape(-1)
         for sl, (A,) in _horner([self.amplitudes], x, -1.0):
-            vals.reshape(-1)[sl] = (A.real**2 + A.imag**2) / (2.0 * self._c0)
+            _squared_modulus(A, 2.0 * self._c0, flat[sl])
         if counter is not None:
             counter.pdf_evals += int(vals.size)
         if clamp:
@@ -148,10 +170,14 @@ class FourierDensity:
         for A(w) and wA'(w) = sum_k k a_k w^k: p' = pi Im{conj(A) wA'} / c_0.
         Bills one score evaluation (two model evaluations) per point."""
         p, score = np.empty(np.shape(x)), np.empty(np.shape(x))
+        p_flat, s_flat = p.reshape(-1), score.reshape(-1)
         rows = [self.amplitudes, np.arange(self.n_terms + 1) * self.amplitudes]
         for sl, (A, wdA) in _horner(rows, x, -1.0):
-            p.reshape(-1)[sl] = (A.real**2 + A.imag**2) / (2.0 * self._c0)
-            score.reshape(-1)[sl] = np.pi * (A.conj() * wdA).imag / self._c0
+            np.conjugate(A, out=A)
+            np.multiply(A, wdA, out=wdA)
+            np.multiply(wdA.imag, np.pi, out=s_flat[sl])
+            s_flat[sl] /= self._c0
+            _squared_modulus(A, 2.0 * self._c0, p_flat[sl])
         np.maximum(p, PDF_FLOOR, out=p)
         score /= p
         if counter is not None:
@@ -179,28 +205,119 @@ class FourierDensity:
         return to_real_line(x, self.scale, self.offset)
 
 
+def _squared_modulus(A, scale: float, out) -> None:
+    """out = (A.real**2 + A.imag**2) / scale, with A.imag as scratch."""
+    np.square(A.real, out=out)
+    np.square(A.imag, out=A.imag)
+    out += A.imag
+    out /= scale
+
+
+def _unit_table():
+    """(T, rho): T[j] = e^{i pi j / J}, j = 0..2J-1, rounded, and rho[j] its
+    relative rounding error, so T (1 + rho) holds the entry to 64 bits.
+    The first quarter is computed in long double; turning it by i, -1 and
+    -i is exact and leaves rho unchanged."""
+    if np.finfo(np.longdouble).nmant < 63:
+        raise ImportError(
+            "circfourier needs an 80-bit np.longdouble to build its "
+            "unit-circle table; this platform's has "
+            f"{np.finfo(np.longdouble).nmant + 1} bits"
+        )
+    pi = 4 * np.arctan(np.longdouble(1))
+    angle = np.arange(_J // 2, dtype=np.longdouble) * (pi / _J)
+    c, s = np.cos(angle), np.sin(angle)
+    quarter, lo = np.empty(_J // 2, complex), np.empty(_J // 2, complex)
+    quarter.real, quarter.imag = c, s
+    lo.real, lo.imag = c - quarter.real, s - quarter.imag
+    table = np.concatenate([quarter * 1j**k for k in range(4)])
+    return table, np.concatenate([lo * quarter.conj()] * 4)
+
+
+_UNIT, _UNIT_RHO = _unit_table()
+
+
+def _unit_circle(x, sign: float, u, w, v) -> None:
+    """Write u = e^{sign i pi x} for |x| <= 2^20, using w and v, complex
+    arrays of x's size, as work space.
+
+    The angle is fl(pi x), as np.exp(1j*sign*np.pi*x) sees it.  Its
+    reduction d = fl(pi x) - pi m/J is exact but for two roundings near
+    2^-62, and |d| <= pi/(2J) + 2^-31 keeps the series' dropped terms
+    below 2^-64.  Then u = T + T (eps + rho) drops only rho*eps < 2^-63,
+    so each component lies within 2^-53 of the exact value
+    e^{sign i fl(pi x)} (most are that value correctly rounded).  NaN or
+    infinite x gives NaN.
+    """
+    a, b = v.view(float).reshape(2, -1)  # real work space
+    c, idx = u.view(float).reshape(2, -1)
+    idx = idx.view(np.int64)
+    if sign > 0:
+        np.add(x, _ROUND, out=a)
+    else:
+        np.subtract(_ROUND, x, out=a)
+    np.bitwise_and(a.view(np.int64), 2 * _J - 1, out=idx)  # m mod 2J
+    a -= _ROUND  # m/J, exactly
+    np.multiply(x, sign * np.pi, out=b)
+    for piece in _PI_PIECES:
+        np.multiply(a, piece, out=c)
+        b -= c  # d
+    np.multiply(b, b, out=a)
+    np.multiply(a, 1.0 / 120.0, out=c)
+    c -= 1.0 / 6.0
+    c *= a
+    c *= b
+    np.add(c, b, out=w.imag)  # sin d
+    np.multiply(a, 1.0 / 24.0, out=c)
+    c -= 0.5
+    np.multiply(c, a, out=w.real)  # cos d - 1
+    np.take(_UNIT_RHO, idx, out=v, mode="clip")
+    w += v
+    np.take(_UNIT, idx, out=v, mode="clip")
+    w *= v
+    np.add(v, w, out=u)  # T + T (eps + rho)
+
+
 def _horner(rows, x, sign: float):
     """Yield (sl, [P_0, ...]) per block of _BLOCK points of x, flattened:
     P_i = sum_k rows[i][k] u^k at u = e^{sign i pi x[sl]}, by Horner's rule
-    with in-place ufuncs, so memory is flat in the number of points."""
+    with in-place ufuncs.  The work arrays are made once per call and the
+    next block overwrites the yielded ones, so memory is flat in the
+    number of points; a caller may use them as scratch."""
     x = np.asarray(x, dtype=float).reshape(-1)
+    size = min(x.size, _BLOCK)
+    u, v = np.empty(size, complex), np.empty(size, complex)
+    Ps = [np.empty(size, complex) for _ in rows]
     for lo in range(0, x.size, _BLOCK):
-        u = np.exp(1j * sign * np.pi * x[lo : lo + _BLOCK])
-        Ps = [np.full(u.size, b[-1], dtype=complex) for b in rows]
-        for P, b in zip(Ps, rows):
+        xb = x[lo : lo + _BLOCK]
+        n = xb.size
+        if not (-_REDUCE_MAX <= xb.min() and xb.max() <= _REDUCE_MAX):
+            # off the domain, or not finite: fmod by the period is exact
+            xb = np.where(np.abs(xb) <= _REDUCE_MAX, xb, np.fmod(xb, 2.0))
+        un, blk = u[:n], [P[:n] for P in Ps]
+        _unit_circle(xb, sign, un, blk[0], v[:n])
+        for P, b in zip(blk, rows):
+            P.fill(b[-1])
             for c in b[-2::-1]:
-                P *= u
+                P *= un
                 P += c
-        yield slice(lo, lo + _BLOCK), Ps
+        yield slice(lo, lo + _BLOCK), blk
 
 
 def wrap(x):
     """Wrap a real coordinate into [-1, 1); exact identity on the domain."""
     x = np.asarray(x, dtype=float)
-    vals = x - 2.0 * np.floor((x + 1.0) / 2.0)
-    # guard the rounding edge when (x + 1) / 2 rounds across an integer
-    vals = np.where(vals >= 1.0, vals - 2.0, vals)
-    vals = np.where(vals < -1.0, vals + 2.0, vals)
+    vals = np.add(x, 1.0, out=np.empty(x.shape))
+    vals /= 2.0
+    np.floor(vals, out=vals)
+    vals *= 2.0
+    np.subtract(x, vals, out=vals)
+    # guard the rounding edge when (x + 1) / 2 rounds across an integer;
+    # the max/min tests keep the common case free of a mask array
+    if vals.max(initial=0.0) >= 1.0:
+        np.subtract(vals, 2.0, out=vals, where=vals >= 1.0)
+    if vals.min(initial=0.0) < -1.0:
+        np.add(vals, 2.0, out=vals, where=vals < -1.0)
     return vals if np.ndim(vals) else float(vals)
 
 

@@ -66,11 +66,9 @@ def ula_refine(
         counter = replace(batch.counter)
     t0 = int(batch.meta.get("T", 0))
     x = batch.samples.copy()
+    z = np.empty(x.size)
     for t in range(t0, t0 + cfg.steps):
-        eps = cfg.step_at(t)
-        s = model.score(x, counter)
-        z = rng.standard_normal(x.size)
-        x = wrap(x + eps * s + np.sqrt(2.0 * eps) * z)
+        x = _ula_step(model, x, cfg.step_at(t), rng, counter, z)
     return SampleBatch(
         samples=x,
         seed=batch.seed,
@@ -91,30 +89,22 @@ def mala_refine(
     Each step proposes via the ULA kernel and accepts with the usual ratio;
     two score evaluations (four model evaluations) per sample per step,
     billed and scheduled as in ula_refine.  The mean acceptance rate of
-    these steps goes into the batch manifest.
+    these steps, and the lowest and highest rate of any one step, go into
+    the batch manifest.
     """
     rng = np.random.default_rng(rng)
     if counter is None:
         counter = replace(batch.counter)
     t0 = int(batch.meta.get("T", 0))
     x = batch.samples.copy()
-    n_accept = 0
-    for t in range(t0, t0 + cfg.steps):
-        eps = cfg.step_at(t)
-        p_cur, s_cur = model.pdf_and_score(x, counter)
-        drift = eps * s_cur
-        z = rng.standard_normal(x.size)
-        prop = wrap(x + drift + np.sqrt(2.0 * eps) * z)
-        p_prop, s_prop = model.pdf_and_score(prop, counter)
-        # Minimal signed circular displacement from x to the proposal.
-        delta = wrap(prop - x)
-        log_fwd = -((delta - drift) ** 2) / (4.0 * eps)
-        log_rev = -((-delta - eps * s_prop) ** 2) / (4.0 * eps)
-        log_alpha = np.log(p_prop) - np.log(p_cur) + log_rev - log_fwd
-        accept = np.log(rng.random(x.size)) < log_alpha
-        x = np.where(accept, prop, x)
-        n_accept += int(accept.sum())
-    rate = n_accept / (x.size * cfg.steps) if cfg.steps else 1.0
+    z, w = np.empty(x.size), np.empty(x.size)
+    accept = np.empty(x.size, dtype=bool)
+    accepted = [
+        _mala_step(model, x, cfg.step_at(t), rng, counter, z, w, accept)
+        for t in range(t0, t0 + cfg.steps)
+    ]
+    rates = [a / x.size for a in accepted] or [1.0]
+    rate = sum(accepted) / (x.size * cfg.steps) if cfg.steps else 1.0
     return SampleBatch(
         samples=x,
         seed=batch.seed,
@@ -124,5 +114,56 @@ def mala_refine(
             "T": t0 + cfg.steps,
             "refine": "mala",
             "acceptance_rate": rate,
+            "acceptance_min": min(rates),
+            "acceptance_max": max(rates),
         },
     )
+
+
+def _ula_step(model, x, eps: float, rng, counter, z):
+    """wrap(x + eps*score + sqrt(2 eps) N(0, 1)), with z as work space."""
+    s = model.pdf_and_score(x, counter)[1]
+    rng.standard_normal(out=z)
+    z *= np.sqrt(2.0 * eps)
+    s *= eps
+    np.add(x, s, out=s)
+    s += z
+    return wrap(s)
+
+
+def _mala_step(model, x, eps: float, rng, counter, z, w, accept) -> int:
+    """One MALA step that moves x in place, with z, w and accept as work
+    space; returns the number of proposals accepted.  The step's own
+    arrays are freed on return, before the next step makes its own."""
+    p_cur, drift = model.pdf_and_score(x, counter)
+    drift *= eps
+    rng.standard_normal(out=z)
+    z *= np.sqrt(2.0 * eps)
+    np.add(x, drift, out=w)
+    w += z
+    prop = wrap(w)
+    p_prop, s_prop = model.pdf_and_score(prop, counter)
+    # Minimal signed circular displacement from x to the proposal.
+    np.subtract(prop, x, out=w)
+    delta = wrap(w)
+    log_fwd = _log_kernel(np.subtract(delta, drift, out=drift), eps)
+    s_prop *= eps
+    np.negative(delta, out=delta)
+    log_rev = _log_kernel(np.subtract(delta, s_prop, out=s_prop), eps)
+    log_alpha = np.log(p_prop, out=p_prop)
+    log_alpha -= np.log(p_cur, out=p_cur)
+    log_alpha += log_rev
+    log_alpha -= log_fwd
+    rng.random(out=z)
+    np.less(np.log(z, out=z), log_alpha, out=accept)
+    np.copyto(x, prop, where=accept)
+    return int(np.count_nonzero(accept))
+
+
+def _log_kernel(v, eps: float):
+    """-(v**2) / (4 eps) in place: the log density, up to a constant, of a
+    Langevin proposal that lands v away from its mean."""
+    np.square(v, out=v)
+    np.negative(v, out=v)
+    v /= 4.0 * eps
+    return v

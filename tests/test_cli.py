@@ -235,6 +235,14 @@ class TestSampleCommand:
         )
         assert "acceptance_rate=" in text
 
+    def test_mala_manifest_has_acceptance_spread(self, tmp_path):
+        code, text = run_cli(tmp_path, "sample", "--method", "daas+mala",
+                             "--t", "3", "--s", "200")
+        assert code == 0
+        lines = [ln for ln in text.splitlines() if ln.startswith("# acceptance")]
+        assert [ln.split("=")[0] for ln in lines] == [
+            "# acceptance_max", "# acceptance_min", "# acceptance_rate"]
+
     def test_model_file_used(self, tmp_path):
         path = tmp_path / "model.txt"
         save_density(FourierDensity([1.0]), path)
@@ -399,6 +407,18 @@ class TestModelFileBoundary:
         code, out = run_cli(
             tmp_path, "sample", "--model-file", str(path), "--n", "1",
             "--k", "7", "--s", "10",
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("method", ["daas", "inverse"])
+    def test_overflowing_normalization_exits_2(self, tmp_path, method):
+        # finite amplitudes whose c_0 = sum |a_k|^2 overflows to inf
+        path = tmp_path / "huge.model"
+        path.write_text("1 1 0\n1e200 0\n1e200 0\n")
+        code, out = run_cli(
+            tmp_path, "sample", "--model-file", str(path), "--k", "7",
+            "--method", method, "--s", "10",
         )
         assert code == 2
         assert out == ""

@@ -51,6 +51,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FourierDensity(amps, scale=scale, offset=offset)
 
+    def test_overflowing_normalization_rejected(self):
+        # finite amplitudes, but c_0 = sum |a_k|^2 = 2e400 is not a double
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="c_0"):
+            FourierDensity([1e200, 1e200])
+
     def test_coefficients_reproducible_bitwise(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(12) + 1j * rng.standard_normal(12)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from circfourier import (
@@ -19,9 +20,53 @@ from circfourier import (
     wrap,
 )
 from circfourier.batch import SampleBatch
+from circfourier.refine import SCHEDULES
+
+
+def former_wrap(x):
+    """wrap as it was before it worked in one output array: the reference."""
+    x = np.asarray(x, dtype=float)
+    vals = x - 2.0 * np.floor((x + 1.0) / 2.0)
+    vals = np.where(vals >= 1.0, vals - 2.0, vals)
+    vals = np.where(vals < -1.0, vals + 2.0, vals)
+    return vals if np.ndim(vals) else float(vals)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+_EDGES = [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), np.nextafter(-1.0, 0.0),
+          np.nextafter(-1.0, -2.0), 1.0, -1.0, 3.0 - 2.0**-51, 2.0**60,
+          -(2.0**60), 0.0, -0.0]
 
 
 class TestWrap:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(_EDGES),
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(_EDGES)), max_size=40),
+    ), st.sampled_from(["python", "0-d", "array"]))
+    @example(float(np.nextafter(1.0, 0.0)), "python")
+    @example(2.0**60, "0-d")
+    def test_in_domain_idempotent_and_as_before(self, x, form):
+        if form == "0-d" and not isinstance(x, list):
+            x = np.array(x)
+        elif form == "array" or isinstance(x, list):
+            x = np.array(x, dtype=float).reshape(-1)
+        w = wrap(x)
+        assert type(w) is type(former_wrap(x))
+        assert _bits(w) == _bits(former_wrap(x))
+        assert np.all((np.asarray(w) >= -1.0) & (np.asarray(w) < 1.0))
+        assert _bits(wrap(w)) == _bits(w)
+
+    def test_non_finite_as_before(self):
+        x = np.array([np.nan, np.inf, -np.inf, 0.5])
+        with np.errstate(invalid="ignore"):
+            assert _bits(wrap(x)) == _bits(former_wrap(x))
+
     def test_identity_in_range(self):
         assert wrap(0.3) == 0.3
 
@@ -62,6 +107,65 @@ class TestLangevinConfig:
             LangevinConfig(schedule="linear")
         with pytest.raises(ValueError):
             LangevinConfig(steps=-1)
+
+
+def former_ula_refine(model, batch, cfg, rng, counter):
+    """ula_refine's step loop before it reused its buffers: the reference."""
+    rng = np.random.default_rng(rng)
+    t0 = int(batch.meta.get("T", 0))
+    x = batch.samples.copy()
+    for t in range(t0, t0 + cfg.steps):
+        eps = cfg.step_at(t)
+        s = model.score(x, counter)
+        z = rng.standard_normal(x.size)
+        x = former_wrap(x + eps * s + np.sqrt(2.0 * eps) * z)
+    return x, {"T": t0 + cfg.steps}
+
+
+def former_mala_refine(model, batch, cfg, rng, counter):
+    """mala_refine's step loop before it reused its buffers: the reference."""
+    rng = np.random.default_rng(rng)
+    t0 = int(batch.meta.get("T", 0))
+    x = batch.samples.copy()
+    n_accept = 0
+    for t in range(t0, t0 + cfg.steps):
+        eps = cfg.step_at(t)
+        p_cur, s_cur = model.pdf_and_score(x, counter)
+        drift = eps * s_cur
+        z = rng.standard_normal(x.size)
+        prop = former_wrap(x + drift + np.sqrt(2.0 * eps) * z)
+        p_prop, s_prop = model.pdf_and_score(prop, counter)
+        delta = former_wrap(prop - x)
+        log_fwd = -((delta - drift) ** 2) / (4.0 * eps)
+        log_rev = -((-delta - eps * s_prop) ** 2) / (4.0 * eps)
+        log_alpha = np.log(p_prop) - np.log(p_cur) + log_rev - log_fwd
+        accept = np.log(rng.random(x.size)) < log_alpha
+        x = np.where(accept, prop, x)
+        n_accept += int(accept.sum())
+    rate = n_accept / (x.size * cfg.steps) if cfg.steps else 1.0
+    return x, {"T": t0 + cfg.steps, "acceptance_rate": rate}
+
+
+@pytest.mark.parametrize("refine,former", [(ula_refine, former_ula_refine),
+                                           (mala_refine, former_mala_refine)])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("eps", [1e-5, 8e-5, 1e-3])
+@pytest.mark.parametrize("n", [5, 20, 50])
+def test_matches_former_step_loop(refine, former, schedule, eps, n):
+    # S = 30001 is not a multiple of the evaluation block; the batch starts
+    # at T = 3 so that the decay schedule continues mid-way
+    m = random_density(n, n)
+    base = grid_ancestral_sample(m, 4 * n + 1, BSplineKernel(1), 30001, 1,
+                                 EvalCounter())
+    base.meta["T"] = 3
+    cfg = LangevinConfig(step_size=eps, schedule=schedule, steps=7)
+    c_new, c_ref = replace(base.counter), replace(base.counter)
+    out = refine(m, base, cfg, 2, c_new)
+    x_ref, meta_ref = former(m, base, cfg, 2, c_ref)
+    assert np.array_equal(out.samples, x_ref)
+    assert c_new == c_ref == out.counter
+    for key, val in meta_ref.items():
+        assert out.meta[key] == val
 
 
 def _batch(samples):
@@ -148,6 +252,25 @@ class TestMala:
         mala_refine(m, batch, LangevinConfig(step_size=8e-5, steps=20), 6, c)
         assert c.score_evals == 2 * 20 * 1000
         assert c.total_evals == 4 * 20 * 1000 + 50
+
+    def test_acceptance_spread_is_over_steps(self):
+        m = random_density(15, 4)
+        batch = grid_ancestral_sample(m, 70, BSplineKernel(1), 2000, 5)
+        cfg = LangevinConfig(step_size=1e-3, schedule="decay", steps=6)
+        out = mala_refine(m, batch, cfg, 6)
+        rng, rates, split = np.random.default_rng(6), [], batch
+        for _ in range(cfg.steps):
+            split = mala_refine(m, split, replace(cfg, steps=1), rng)
+            rates.append(split.meta["acceptance_rate"])
+        assert np.array_equal(out.samples, split.samples)
+        assert out.meta["acceptance_min"] == min(rates) < max(rates)
+        assert out.meta["acceptance_max"] == max(rates)
+        assert 0.0 <= min(rates) <= out.meta["acceptance_rate"] <= max(rates) <= 1.0
+
+    def test_acceptance_spread_without_steps(self):
+        out = mala_refine(random_density(5, 0), _batch([0.1, -0.4]),
+                          LangevinConfig(steps=0), 1)
+        assert out.meta["acceptance_min"] == out.meta["acceptance_max"] == 1.0
 
     def test_acceptance_rate_in_unit_interval(self):
         m = random_density(15, 4)
