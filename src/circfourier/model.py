@@ -159,10 +159,20 @@ class FourierDensity:
 
     def cdf(self, x):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
-        Term-wise (x + 1)/2 + F(x) - F(-1), with F = deriv(x, order=-1)."""
+        Term-wise (x + 1)/2 + F(x) - F(-1), with F = deriv(x, order=-1),
+        summed into F(x) in place, (x + 1)/2 one block at a time."""
         x = np.asarray(x, dtype=float)
-        vals = (x + 1.0) / 2.0 + (self.deriv(x, -1) - self.deriv(-1.0, -1))
-        vals = np.clip(vals, 0.0, 1.0)
+        vals = np.asarray(self.deriv(x, -1), dtype=float).reshape(-1)
+        vals -= self.deriv(-1.0, -1)
+        flat = x.reshape(-1)
+        half = np.empty(min(flat.size, _BLOCK))
+        for lo in range(0, flat.size, _BLOCK):
+            xb = flat[lo : lo + _BLOCK]
+            h = np.add(xb, 1.0, out=half[: xb.size])
+            h /= 2.0
+            vals[lo : lo + _BLOCK] += h
+        np.clip(vals, 0.0, 1.0, out=vals)
+        vals = vals.reshape(x.shape)
         return vals if np.ndim(vals) else float(vals)
 
     def pdf_and_score(self, x, counter: EvalCounter | None = None):

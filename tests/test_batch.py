@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,3 +57,23 @@ class TestCsvRoundTrip:
         assert back.meta["total_evals"] == "64"
         assert back.meta["method"] == "daas+ula"
         assert float(back.meta["step"]) == 1e-5
+
+
+class _DiscardingSink:
+    def write(self, text):
+        pass
+
+
+def test_write_csv_memory_flat_in_rows():
+    """Traced peak of write_csv is its per-block work, whatever S."""
+    peaks = []
+    for s in (2**18, 2**20):
+        batch = SampleBatch(np.random.default_rng(s).uniform(-1.0, 1.0, s))
+        tracemalloc.start()
+        try:
+            batch.write_csv(_DiscardingSink())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 4 * 2**20, peaks
+    assert abs(peaks[0] - peaks[1]) <= 64 * 2**10, peaks

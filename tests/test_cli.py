@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circfourier import FourierDensity, random_density, save_density
-from circfourier.refine import SCHEDULES
+from circfourier import (
+    BSplineKernel,
+    EvalCounter,
+    FourierDensity,
+    grid_ancestral_sample,
+    random_density,
+    save_density,
+)
+from circfourier.refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
 from circfourier.cli import (
     METHODS,
     ConfigError,
@@ -381,6 +388,25 @@ class TestCostCommand:
         cfg = ExperimentConfig(n=3, k=9, s=1, t=0, seed=1)
         rows = dict(run_cost(cfg))
         assert rows["ula"] == rows["mala"] == rows["triangular"] == 9
+
+    @pytest.mark.parametrize("method", ["ula", "mala"])
+    def test_refiner_rows_match_real_runs(self, method):
+        """The ula and mala rows are the grid's bill plus the ledger of an
+        actual refinement run of S samples over T steps."""
+        cfg = ExperimentConfig(n=5, k=40, s=50, t=3, seed=3)
+        model = random_density(cfg.n, np.random.default_rng(0))
+        grid = EvalCounter()
+        start = grid_ancestral_sample(
+            model, cfg.k, BSplineKernel(1), cfg.s, np.random.default_rng(1), grid
+        )
+        ledger = EvalCounter()
+        refine = ula_refine if method == "ula" else mala_refine
+        refine(model, replace(start, counter=EvalCounter()),
+               LangevinConfig(step_size=1e-4, steps=cfg.t),
+               np.random.default_rng(2), ledger)
+        assert dict(run_cost(cfg))[method] == (
+            grid.total_evals + ledger.total_evals
+        )
 
     def test_rejection_row_measured(self, tmp_path):
         # raised-cosine model has M = 2: ~2 proposals per accepted sample

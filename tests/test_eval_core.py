@@ -115,3 +115,6 @@ def test_evaluation_memory_flat_in_points():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * x.nbytes + 2**20, (name, peak / x.nbytes)
+        if name == "cdf":
+            # one output array plus a block of (x + 1)/2 and Horner's arrays
+            assert peak <= x.nbytes + 2**20, peak - x.nbytes
