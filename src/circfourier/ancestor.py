@@ -1,9 +1,13 @@
 """Discrete ancestor distribution on the sampling grid and alias tables.
 
 The ancestor PMF is the band-limited density evaluated at K equally spaced
-grid points and scaled by 2/K; because the grid resolves every frequency
-term (K >= 2N+1) the values sum to exactly 1.  Alias tables give O(1)
-draws after an O(K log K) numpy setup.
+grid points and scaled by 2/K.  Its values sum to 1 for any K >= N+1: at
+x_k = -1 + 2k/K, sum_k e^{i pi n x_k} vanishes unless K divides n, so each
+term n = 1..N drops out and the constant 1/2 is left, K times.  The
+stronger guard K >= 2N+1, checked where the grid is built
+(FourierDensity.pdf_grid), is what the grid values need to determine the
+density, a trigonometric polynomial of degree N, and what the TV bound
+assumes.  Alias tables give O(1) draws after an O(K log K) numpy setup.
 """
 from __future__ import annotations
 
@@ -51,7 +55,8 @@ def build_ancestor(model: FourierDensity, K: int,
                    counter: EvalCounter | None = None) -> AncestorPmf:
     """Discretize the density: probs[k] = (2/K) * p(x_k).  Bills K evals."""
     vals = model.pdf_grid(K, counter)
-    return AncestorPmf(probs=(2.0 / K) * vals)
+    vals *= 2.0 / K
+    return AncestorPmf(probs=vals)
 
 
 def build_alias(pmf: AncestorPmf) -> AliasTable:
@@ -72,31 +77,51 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
 
     Zero cells are lights that keep 0.  A cell left over by rounding, a
     light with no heavy or a heavy with no i*, keeps 1 and aliases itself.
+
+    The searches run over non-decreasing prefix sums with non-decreasing
+    keys, so j and i* are non-decreasing: the lights that find a heavy
+    (j < number of heavies, that is P_L(i-1) < P_H(last)) and the heavies
+    that find an i* (P_H(j) <= P_L(last)) are each a prefix of their list,
+    whose length one binary search gives.  The table is built in the
+    buffer of the scaled weights, with int32 index lists while K < 2^31.
     """
     probs = np.asarray(pmf.probs, dtype=float)
     k = probs.size
-    scaled = probs * (k / probs.sum())
-    is_light = scaled < 1.0
-    lights = np.flatnonzero(is_light)
-    heavies = np.flatnonzero(~is_light)
+    # Lights keep their scaled weight, so prob starts as the scaled weights.
+    prob = probs * (k / probs.sum())
+    is_light = prob < 1.0
+    index = np.int32 if k < 2**31 else np.int64
+    lights = np.flatnonzero(is_light).astype(index)
+    heavies = np.flatnonzero(~is_light).astype(index)
+    del is_light
     # deficit[i] = P_L(i-1): the deficit of the lights before light i.
     deficit = np.zeros(lights.size + 1)
-    np.cumsum(1.0 - scaled[lights], out=deficit[1:])
-    surplus = np.cumsum(scaled[heavies] - 1.0)
-    prob = np.ones(k)
+    np.subtract(1.0, prob[lights], out=deficit[1:])
+    np.cumsum(deficit[1:], out=deficit[1:])
+    surplus = prob[heavies]
+    surplus -= 1.0
+    np.cumsum(surplus, out=surplus)
+    filled = (np.searchsorted(deficit[:-1], surplus[-1], side="left")
+              if heavies.size else 0)
+    drained = np.searchsorted(surplus, deficit[-1], side="right")
     alias = np.arange(k)
 
-    j = np.searchsorted(surplus, deficit[:-1], side="right")
-    filled = j < heavies.size
-    prob[lights[filled]] = scaled[lights[filled]]
-    alias[lights[filled]] = heavies[j[filled]]
+    j = np.searchsorted(surplus, deficit[:filled], side="right")
+    alias[lights[:filled]] = heavies[j]
+    del j
+    prob[lights[filled:]] = 1.0
 
-    i_star = np.searchsorted(deficit, surplus, side="left")
-    drained = i_star < deficit.size
-    prob[heavies[drained]] = 1.0 + surplus[drained] - deficit[i_star[drained]]
-    # The last heavy has no successor; it keeps 1 up to rounding.
-    successor = np.append(heavies[1:], heavies[-1:])
-    alias[heavies[drained]] = successor[drained]
+    i_star = np.searchsorted(deficit, surplus[:drained], side="left")
+    # 1 + P_H(j) - P_L(i*-1), summed in this order, in surplus's buffer.
+    kept = surplus[:drained]
+    kept += 1.0
+    kept -= deficit[i_star]
+    prob[heavies[:drained]] = kept
+    prob[heavies[drained:]] = 1.0
+    # Each drained heavy aliases the next; the last heavy has no successor
+    # and keeps 1 up to rounding.
+    successor = heavies[1 : drained + 1]
+    alias[heavies[: successor.size]] = successor
     np.clip(prob, 0.0, 1.0, out=prob)
     return AliasTable(prob=prob, alias=alias)
 

@@ -3,7 +3,8 @@
 Commands: sample, convergence, refinement, cost.  Every output is a pure
 function of the config (flat key=value file plus flag overrides); rows are
 headerless comma-separated values, with manifests in '#' comment lines.
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error (out of memory included), 3 numerical
+failure.
 """
 from __future__ import annotations
 
@@ -29,7 +30,14 @@ from .metrics import (
     rejection_sample,
 )
 from .model import EvalCounter, load_density, random_density
-from .refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
+from .refine import (
+    MALA_SCORES_PER_STEP,
+    SCHEDULES,
+    ULA_SCORES_PER_STEP,
+    LangevinConfig,
+    mala_refine,
+    ula_refine,
+)
 
 METHODS = ("daas", "daas+ula", "daas+mala", "rejection", "inverse")
 
@@ -249,8 +257,8 @@ def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
     """Rows (method, model evaluations) for drawing S samples.
 
     Grid methods are the grid's bill (K, from building it) plus the
-    closed-form refinement bill in S and T; the rejection row is measured
-    by actually running the sampler.
+    refinement bill of S*T steps at the refiners' own scores per step; the
+    rejection row is measured by actually running the sampler.
     """
     cfg.validate()
     model_rng, draw_rng = np.random.default_rng(cfg.seed).spawn(2)
@@ -259,10 +267,13 @@ def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
     build_ancestor(model, cfg.k, grid)
     counter = EvalCounter()
     rejection_sample(model, cfg.s, draw_rng, counter)
+    steps = cfg.s * cfg.t
     return [
         ("rejection", counter.total_evals),
-        ("ula", EvalCounter(grid.pdf_evals, cfg.s * cfg.t).total_evals),
-        ("mala", EvalCounter(grid.pdf_evals, 2 * cfg.s * cfg.t).total_evals),
+        ("ula", EvalCounter(grid.pdf_evals,
+                            ULA_SCORES_PER_STEP * steps).total_evals),
+        ("mala", EvalCounter(grid.pdf_evals,
+                             MALA_SCORES_PER_STEP * steps).total_evals),
         ("triangular", grid.total_evals),
     ]
 
@@ -351,6 +362,10 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A config whose arrays do not fit, such as a huge --k or --s.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

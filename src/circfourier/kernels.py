@@ -108,8 +108,9 @@ def grid_ancestral_sample(
     """Draw `size` approximate samples of the model density.
 
     Builds the ancestor PMF and alias table once (exactly K model
-    evaluations), then per sample draws a grid index and a centered kernel
-    offset, placing the kernel at the grid point and wrapping into [-1, 1).
+    evaluations), keeping only the table, then per sample draws a grid
+    index and a centered kernel offset, placing the kernel at the grid
+    point and wrapping into [-1, 1).
     The evaluation bill is K, independent of `size`.
     """
     if size < 1:
@@ -118,8 +119,7 @@ def grid_ancestral_sample(
     rng = np.random.default_rng(rng)
     if counter is None:
         counter = EvalCounter()
-    pmf = build_ancestor(model, K, counter)
-    table = build_alias(pmf)
+    table = build_alias(build_ancestor(model, K, counter))
     idx = sample_ancestors(table, size, rng)
     u = kernel.sample(size, rng)
     x = wrap(-1.0 + (2.0 / K) * (idx + u))

@@ -123,7 +123,8 @@ class FourierDensity:
     def pdf_grid(self, K: int, counter: EvalCounter | None = None,
                  clamp: bool = True) -> np.ndarray:
         """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, where
-        A(w_k) is the DFT of (-1)^j a_j zero-padded to K: O(K log K)."""
+        A(w_k) is the DFT of (-1)^j a_j zero-padded to K: O(K log K).
+        |A|^2 is formed in one real buffer, in place."""
         K = int(K)
         if K < 2 * self.n_terms + 1:
             raise ValueError(
@@ -131,7 +132,9 @@ class FourierDensity:
             )
         signs = (-1.0) ** np.arange(self.n_terms + 1)
         A = np.fft.fft(self.amplitudes * signs, K)
-        vals = (A.real**2 + A.imag**2) / (2.0 * self._c0)
+        vals = np.square(A.real)
+        vals += np.square(A.imag, out=A.imag)
+        vals /= 2.0 * self._c0
         if counter is not None:
             counter.pdf_evals += K
         if clamp:

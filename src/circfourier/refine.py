@@ -10,7 +10,6 @@ sizes used here (eps <= 1e-3 on a period-2 circle).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +18,10 @@ from .batch import SampleBatch
 from .model import EvalCounter, FourierDensity, wrap
 
 SCHEDULES = ("constant", "decay")
+# Score evaluations per sample per step, as each refiner bills them: ULA
+# scores the current point, MALA the current point and the proposal.
+ULA_SCORES_PER_STEP = 1
+MALA_SCORES_PER_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,9 @@ class LangevinConfig:
 
     schedule 'constant' keeps step_size; 'decay' uses step_size / (t + 1),
     where t counts the steps the chain has taken since its unrefined start.
+    A step above 1 is rejected: its noise, of standard deviation sqrt(2)
+    or more, already spans the period-2 circle, and MALA's local-chart
+    proposal ratio fails long before that.
     """
 
     step_size: float = 1e-5
@@ -34,8 +40,8 @@ class LangevinConfig:
     steps: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError("step_size must be finite and positive")
+        if not 0 < self.step_size <= 1:
+            raise ValueError("step_size must be in (0, 1]")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.steps < 0:
@@ -56,10 +62,11 @@ def ula_refine(
 ) -> SampleBatch:
     """Unadjusted Langevin chain: x <- wrap(x + eps*score + sqrt(2 eps) z).
 
-    Bills one score evaluation (two model evaluations) per sample per step,
-    into `counter` or else into a copy of the batch's ledger.  The schedule
-    continues from the batch's step count meta["T"], which the result
-    advances by cfg.steps.  steps == 0 returns the samples unchanged.
+    Bills ULA_SCORES_PER_STEP score evaluations (two model evaluations
+    each) per sample per step, into `counter` or else into a copy of the
+    batch's ledger.  The schedule continues from the batch's step count
+    meta["T"], which the result advances by cfg.steps.  steps == 0 returns
+    the samples unchanged.
     """
     rng = np.random.default_rng(rng)
     if counter is None:
@@ -68,7 +75,8 @@ def ula_refine(
     x = batch.samples.copy()
     z = np.empty(x.size)
     for t in range(t0, t0 + cfg.steps):
-        x = _ula_step(model, x, cfg.step_at(t), rng, counter, z)
+        x = _ula_step(model, x, cfg.step_at(t), rng, z)
+    counter.score_evals += ULA_SCORES_PER_STEP * x.size * cfg.steps
     return SampleBatch(
         samples=x,
         seed=batch.seed,
@@ -87,10 +95,10 @@ def mala_refine(
     """Metropolis-adjusted Langevin chain.
 
     Each step proposes via the ULA kernel and accepts with the usual ratio;
-    two score evaluations (four model evaluations) per sample per step,
-    billed and scheduled as in ula_refine.  The mean acceptance rate of
-    these steps, and the lowest and highest rate of any one step, go into
-    the batch manifest.
+    MALA_SCORES_PER_STEP score evaluations per sample per step, billed and
+    scheduled as in ula_refine.  The mean acceptance rate of these steps,
+    and the lowest and highest rate of any one step, go into the batch
+    manifest.
     """
     rng = np.random.default_rng(rng)
     if counter is None:
@@ -100,9 +108,10 @@ def mala_refine(
     z, w = np.empty(x.size), np.empty(x.size)
     accept = np.empty(x.size, dtype=bool)
     accepted = [
-        _mala_step(model, x, cfg.step_at(t), rng, counter, z, w, accept)
+        _mala_step(model, x, cfg.step_at(t), rng, z, w, accept)
         for t in range(t0, t0 + cfg.steps)
     ]
+    counter.score_evals += MALA_SCORES_PER_STEP * x.size * cfg.steps
     rates = [a / x.size for a in accepted] or [1.0]
     rate = sum(accepted) / (x.size * cfg.steps) if cfg.steps else 1.0
     return SampleBatch(
@@ -120,9 +129,9 @@ def mala_refine(
     )
 
 
-def _ula_step(model, x, eps: float, rng, counter, z):
+def _ula_step(model, x, eps: float, rng, z):
     """wrap(x + eps*score + sqrt(2 eps) N(0, 1)), with z as work space."""
-    s = model.pdf_and_score(x, counter)[1]
+    s = model.pdf_and_score(x)[1]
     rng.standard_normal(out=z)
     z *= np.sqrt(2.0 * eps)
     s *= eps
@@ -131,18 +140,18 @@ def _ula_step(model, x, eps: float, rng, counter, z):
     return wrap(s)
 
 
-def _mala_step(model, x, eps: float, rng, counter, z, w, accept) -> int:
+def _mala_step(model, x, eps: float, rng, z, w, accept) -> int:
     """One MALA step that moves x in place, with z, w and accept as work
     space; returns the number of proposals accepted.  The step's own
     arrays are freed on return, before the next step makes its own."""
-    p_cur, drift = model.pdf_and_score(x, counter)
+    p_cur, drift = model.pdf_and_score(x)
     drift *= eps
     rng.standard_normal(out=z)
     z *= np.sqrt(2.0 * eps)
     np.add(x, drift, out=w)
     w += z
     prop = wrap(w)
-    p_prop, s_prop = model.pdf_and_score(prop, counter)
+    p_prop, s_prop = model.pdf_and_score(prop)
     # Minimal signed circular displacement from x to the proposal.
     np.subtract(prop, x, out=w)
     delta = wrap(w)

@@ -1,15 +1,21 @@
 """Property tests of the sweeping alias construction in build_alias."""
+import tracemalloc
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from circfourier import (
     AliasTable,
     AncestorPmf,
+    BSplineKernel,
     build_alias,
     build_ancestor,
+    grid_ancestral_sample,
     random_density,
     reconstruct_pmf,
 )
+
+FINE_K = 2**21  # tv_bound(200, FINE_K) = 3e-6
 
 
 def vose_reference(probs):
@@ -31,6 +37,55 @@ def vose_reference(probs):
         prob[i] = 1.0
         alias[i] = i
     return prob, alias
+
+
+def masked_sweep_reference(pmf: AncestorPmf) -> AliasTable:
+    """The sweep with int64 index lists, boolean masks for the filled
+    lights and drained heavies, and a fresh prob array: the form that
+    build_alias replaced, kept as the reference for bit-equality."""
+    probs = np.asarray(pmf.probs, dtype=float)
+    k = probs.size
+    scaled = probs * (k / probs.sum())
+    is_light = scaled < 1.0
+    lights = np.flatnonzero(is_light)
+    heavies = np.flatnonzero(~is_light)
+    # deficit[i] = P_L(i-1): the deficit of the lights before light i.
+    deficit = np.zeros(lights.size + 1)
+    np.cumsum(1.0 - scaled[lights], out=deficit[1:])
+    surplus = np.cumsum(scaled[heavies] - 1.0)
+    prob = np.ones(k)
+    alias = np.arange(k)
+
+    j = np.searchsorted(surplus, deficit[:-1], side="right")
+    filled = j < heavies.size
+    prob[lights[filled]] = scaled[lights[filled]]
+    alias[lights[filled]] = heavies[j[filled]]
+
+    i_star = np.searchsorted(deficit, surplus, side="left")
+    drained = i_star < deficit.size
+    prob[heavies[drained]] = 1.0 + surplus[drained] - deficit[i_star[drained]]
+    # The last heavy has no successor; it keeps 1 up to rounding.
+    successor = np.append(heavies[1:], heavies[-1:])
+    alias[heavies[drained]] = successor[drained]
+    np.clip(prob, 0.0, 1.0, out=prob)
+    return AliasTable(prob=prob, alias=alias)
+
+
+def assert_bit_equal(table, ref):
+    for got, want in ((table.prob, ref.prob), (table.alias, ref.alias)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @st.composite
@@ -103,8 +158,36 @@ def test_agrees_with_vose_reference(w):
     assert np.max(np.abs(reconstruct_pmf(check_table(w)) - ref)) <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(weights())
+@example(np.eye(1, 54991, 46776).ravel())
+# uniform weights that round to all lights (K=20) and all heavies (K=7)
+@example(np.full(20, 1.0 / 20))
+@example(np.full(7, 1.0 / 7))
+# the last light's deficit 2^-53 rounds away, so the light before it has a
+# prefix deficit equal to the total surplus, 1: that light is not filled
+@example(np.array([0.0, 1.0 - 2.0**-53, 2.0]))
+def test_bit_equal_to_masked_reference(w):
+    pmf = AncestorPmf(w)
+    assert_bit_equal(build_alias(pmf), masked_sweep_reference(pmf))
+
+
 def test_fine_grid_model_pmf():
-    # K = 2^21 grid of an N=200 model: tv_bound(200, K) = 3e-6
-    pmf = build_ancestor(random_density(200, 7), 2**21)
+    pmf = build_ancestor(random_density(200, 7), FINE_K)
     table = build_alias(pmf)
     assert np.max(np.abs(reconstruct_pmf(table) - pmf.probs)) <= 1e-12
+    assert_bit_equal(table, masked_sweep_reference(pmf))
+
+
+def test_fine_grid_memory():
+    """Peak memory beyond the input, per grid cell: the table itself is 16
+    bytes a cell, and the masked reference's build peaked at 59."""
+    model = random_density(200, 7)
+    pmf = build_ancestor(model, FINE_K)
+    table, peak = traced_peak(build_alias, pmf)
+    assert peak <= 40 * FINE_K, peak / FINE_K
+    del pmf, table
+    batch, peak = traced_peak(grid_ancestral_sample, model, FINE_K,
+                              BSplineKernel(1), 10**6, 5)
+    assert batch.samples.size == 10**6
+    assert peak <= 48 * FINE_K, peak / FINE_K

@@ -150,6 +150,16 @@ class TestConfig:
                           "--n", "3", "--k", "7", "--s", "10", "--t", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("method,flag", [
+        ("daas+ula", "--eps-ula"), ("daas+mala", "--eps-mala"),
+    ])
+    def test_huge_step_size_exits_2(self, tmp_path, method, flag):
+        # a finite step whose noise spans the circle many times over
+        code, _ = run_cli(tmp_path, "sample", "--method", method, flag,
+                          "1e300", "--n", "5", "--k", "11", "--s", "5",
+                          "--t", "1")
+        assert code == 2
+
 
 _GRID_COMMANDS = [
     ("sample", "daas"), ("sample", "daas+ula"), ("sample", "daas+mala"),
@@ -525,6 +535,31 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         code, _ = run_cli(tmp_path, "sample", "--config", "/nonexistent.cfg")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "5", "--k", "4294967296"],
+        ["sample", "--method", "rejection", "--n", "5", "--s", "100000000000"],
+    ])
+    def test_out_of_memory_exits_2(self, argv):
+        # The child caps its own address space at 4 GiB before numpy is
+        # imported, so the grid of 2^32 points, or the 10^11 samples, fail
+        # to allocate there and nowhere else.
+        script = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 4 << 30\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    cap = min(cap, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from circfourier.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert proc.stderr.startswith(b"error: out of memory"), proc.stderr
 
 
 def _csv(lists):

@@ -98,6 +98,12 @@ class TestLangevinConfig:
         assert cfg.step_at(0) == 1e-4
         assert cfg.step_at(3) == pytest.approx(2.5e-5)
 
+    def test_largest_step(self):
+        # the step bound is 1, inclusive
+        assert LangevinConfig(step_size=1.0).step_at(0) == 1.0
+        with pytest.raises(ValueError):
+            LangevinConfig(step_size=np.nextafter(1.0, 2.0))
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             LangevinConfig(step_size=0.0)
