@@ -16,12 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .batch import SampleBatch
-from .kernels import (
-    SUPPORTED_DEGREES,
-    BSplineKernel,
-    compound_pdf,
-    grid_ancestral_sample,
-)
+from .kernels import BSplineKernel, compound_pdf, grid_ancestral_sample
 from .ancestor import build_ancestor
 from .metrics import (
     empirical_w1,
@@ -76,24 +71,18 @@ class ExperimentConfig:
     model_file: str = ""
 
     def validate(self) -> None:
-        """Check every setting but k, which each grid checks against its
-        model's N where it is built (FourierDensity.pdf_grid)."""
+        """Check every setting before any work: chains and kernels by
+        building each one a command could build, whatever the method; all
+        but k, which each grid checks against its model's N where it is
+        built (FourierDensity.pdf_grid)."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
         if self.n < 0:
             raise ConfigError("n must be >= 0")
-        if self.d not in SUPPORTED_DEGREES:
-            raise ConfigError(f"d must be one of {SUPPORTED_DEGREES}")
         if self.s < 1:
             raise ConfigError("s must be >= 1")
-        if self.t < 0:
-            raise ConfigError("t must be >= 0")
-        if any(t < 0 for t in self.t_sweep):
-            raise ConfigError("t_sweep entries must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"schedule must be one of {SCHEDULES}")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
         if self.k_sweep and any(
@@ -102,8 +91,26 @@ class ExperimentConfig:
             raise ConfigError("k_sweep must be strictly increasing")
         if not self.degrees:
             raise ConfigError("degrees must not be empty")
-        if any(d not in SUPPORTED_DEGREES for d in self.degrees):
-            raise ConfigError(f"degrees entries must be in {SUPPORTED_DEGREES}")
+        for name, (_, eps, _) in _chains(self).items():
+            for t in (self.t, *self.t_sweep):
+                _build(f"{name} chain at T={t}", LangevinConfig,
+                       step_size=eps, schedule=self.schedule, steps=t)
+        for d in (self.d, *self.degrees):
+            _build("kernel", BSplineKernel, d)
+
+
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError raised as ConfigError at where."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _chains(cfg: ExperimentConfig) -> dict:
+    """Each Langevin chain by name: (refiner, step size, scores per step)."""
+    return {"ula": (ula_refine, cfg.eps_ula, ULA_SCORES_PER_STEP),
+            "mala": (mala_refine, cfg.eps_mala, MALA_SCORES_PER_STEP)}
 
 
 def _parse_value(raw: str, current):
@@ -120,10 +127,8 @@ def _parse_value(raw: str, current):
 def _set(cfg: ExperimentConfig, key: str, raw: str, where: str) -> ExperimentConfig:
     """cfg with `key` parsed from `raw`; a malformed value is a ConfigError
     naming `where` (the flag, or path:line)."""
-    try:
-        return replace(cfg, **{key: _parse_value(raw, getattr(cfg, key))})
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _build(where, lambda: replace(
+        cfg, **{key: _parse_value(raw, getattr(cfg, key))}))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -169,14 +174,14 @@ def run_sample(cfg: ExperimentConfig) -> SampleBatch:
             model, cfg.k, kernel, cfg.s, draw_rng, counter
         )
         if cfg.method != "daas":
-            step = cfg.eps_ula if cfg.method == "daas+ula" else cfg.eps_mala
-            lcfg = LangevinConfig(
-                step_size=step, schedule=cfg.schedule, steps=cfg.t
-            )
-            refine = ula_refine if cfg.method == "daas+ula" else mala_refine
+            refine, eps, _ = _chains(cfg)[cfg.method.removeprefix("daas+")]
+            lcfg = LangevinConfig(step_size=eps, schedule=cfg.schedule,
+                                  steps=cfg.t)
             batch = refine(model, batch, lcfg, draw_rng, counter)
     batch.seed = cfg.seed
     batch.meta["method"] = cfg.method
+    if cfg.model_file:
+        batch.meta.update(scale=model.scale, offset=model.offset)
     if not np.all(np.isfinite(batch.samples)):
         raise NumericalError("non-finite samples produced")
     return batch
@@ -220,8 +225,9 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
     """
     cfg.validate()
     t_sweep = sorted(set(cfg.t_sweep) | {0})
+    chains = _chains(cfg)
     rng = np.random.default_rng(cfg.seed)
-    model_rng, ref_rng, daas_rng, ula_rng, mala_rng = rng.spawn(5)
+    model_rng, ref_rng, daas_rng, *chain_rngs = rng.spawn(3 + len(chains))
     model = _get_model(cfg, model_rng)
     base = grid_ancestral_sample(
         model, cfg.k, BSplineKernel(cfg.d), cfg.s, daas_rng
@@ -229,11 +235,7 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
     ref = rejection_sample(model, cfg.s, ref_rng).samples
     w1_zero = empirical_w1(base.samples, ref).estimate
     rows = [(0, "daas", w1_zero)]
-    chains = [
-        ("ula", ula_refine, cfg.eps_ula, ula_rng),
-        ("mala", mala_refine, cfg.eps_mala, mala_rng),
-    ]
-    for name, refine, eps, crng in chains:
+    for (name, (refine, eps, _)), crng in zip(chains.items(), chain_rngs):
         batch = base
         done = 0
         for t_steps in t_sweep:
@@ -270,10 +272,8 @@ def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
     steps = cfg.s * cfg.t
     return [
         ("rejection", counter.total_evals),
-        ("ula", EvalCounter(grid.pdf_evals,
-                            ULA_SCORES_PER_STEP * steps).total_evals),
-        ("mala", EvalCounter(grid.pdf_evals,
-                             MALA_SCORES_PER_STEP * steps).total_evals),
+        *((name, EvalCounter(grid.pdf_evals, scores * steps).total_evals)
+          for name, (_, _, scores) in _chains(cfg).items()),
         ("triangular", grid.total_evals),
     ]
 
@@ -360,14 +360,14 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # A config whose arrays do not fit, such as a huge --k or --s.
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

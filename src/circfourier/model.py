@@ -84,7 +84,8 @@ class FourierDensity:
             raise ValueError("offset must be finite")
         self.amplitudes = a
         self.amplitudes.setflags(write=False)
-        self.coefficients = autocorrelate(a)
+        with np.errstate(over="ignore"):  # an infinite c_0 raises below
+            self.coefficients = autocorrelate(a)
         self.coefficients.setflags(write=False)
         self.scale = float(scale)
         self.offset = float(offset)

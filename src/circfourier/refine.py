@@ -62,26 +62,16 @@ def ula_refine(
 ) -> SampleBatch:
     """Unadjusted Langevin chain: x <- wrap(x + eps*score + sqrt(2 eps) z).
 
-    Bills ULA_SCORES_PER_STEP score evaluations (two model evaluations
-    each) per sample per step, into `counter` or else into a copy of the
-    batch's ledger.  The schedule continues from the batch's step count
-    meta["T"], which the result advances by cfg.steps.  steps == 0 returns
-    the samples unchanged.
+    Each step takes the Langevin proposal as it stands.  Bills
+    ULA_SCORES_PER_STEP score evaluations (two model evaluations each) per
+    sample per step, into `counter` or else into a copy of the batch's
+    ledger.  The schedule continues from the batch's step count meta["T"],
+    which the result advances by cfg.steps.  steps == 0 returns the
+    samples unchanged.
     """
-    rng = np.random.default_rng(rng)
-    if counter is None:
-        counter = replace(batch.counter)
-    t0 = int(batch.meta.get("T", 0))
-    x = batch.samples.copy()
-    z = np.empty(x.size)
-    for t in range(t0, t0 + cfg.steps):
-        x = _ula_step(model, x, cfg.step_at(t), rng, z)
-    counter.score_evals += ULA_SCORES_PER_STEP * x.size * cfg.steps
-    return SampleBatch(
-        samples=x,
-        seed=batch.seed,
-        counter=counter,
-        meta={**batch.meta, "T": t0 + cfg.steps, "refine": "ula"},
+    return _refine(
+        batch, cfg, rng, counter, "ula", ULA_SCORES_PER_STEP,
+        lambda x, eps, rng, z: _propose(model, x, eps, rng, z, x)[0],
     )
 
 
@@ -94,63 +84,69 @@ def mala_refine(
 ) -> SampleBatch:
     """Metropolis-adjusted Langevin chain.
 
-    Each step proposes via the ULA kernel and accepts with the usual ratio;
+    Each step makes the ULA proposal and accepts it with the usual ratio;
     MALA_SCORES_PER_STEP score evaluations per sample per step, billed and
     scheduled as in ula_refine.  The mean acceptance rate of these steps,
     and the lowest and highest rate of any one step, go into the batch
     manifest.
     """
+    size = batch.samples.size
+    w, accept = np.empty(size), np.empty(size, dtype=bool)
+    accepted = []
+
+    def step(x, eps, rng, z):
+        accepted.append(_mala_step(model, x, eps, rng, z, w, accept))
+        return x
+
+    out = _refine(batch, cfg, rng, counter, "mala", MALA_SCORES_PER_STEP, step)
+    rates = [a / size for a in accepted] or [1.0]
+    out.meta.update(
+        acceptance_rate=sum(accepted) / (size * cfg.steps) if cfg.steps else 1.0,
+        acceptance_min=min(rates),
+        acceptance_max=max(rates),
+    )
+    return out
+
+
+def _refine(batch, cfg, rng, counter, name: str, scores_per_step: int, step):
+    """The chain `name`: x = step(x, eps, rng, z) from a copy of the
+    batch's samples, with z as work space, scheduled and billed as
+    ula_refine says."""
     rng = np.random.default_rng(rng)
     if counter is None:
         counter = replace(batch.counter)
     t0 = int(batch.meta.get("T", 0))
     x = batch.samples.copy()
-    z, w = np.empty(x.size), np.empty(x.size)
-    accept = np.empty(x.size, dtype=bool)
-    accepted = [
-        _mala_step(model, x, cfg.step_at(t), rng, z, w, accept)
-        for t in range(t0, t0 + cfg.steps)
-    ]
-    counter.score_evals += MALA_SCORES_PER_STEP * x.size * cfg.steps
-    rates = [a / x.size for a in accepted] or [1.0]
-    rate = sum(accepted) / (x.size * cfg.steps) if cfg.steps else 1.0
+    z = np.empty(x.size)
+    for t in range(t0, t0 + cfg.steps):
+        x = step(x, cfg.step_at(t), rng, z)
+    counter.score_evals += scores_per_step * x.size * cfg.steps
     return SampleBatch(
         samples=x,
         seed=batch.seed,
         counter=counter,
-        meta={
-            **batch.meta,
-            "T": t0 + cfg.steps,
-            "refine": "mala",
-            "acceptance_rate": rate,
-            "acceptance_min": min(rates),
-            "acceptance_max": max(rates),
-        },
+        meta={**batch.meta, "T": t0 + cfg.steps, "refine": name},
     )
 
 
-def _ula_step(model, x, eps: float, rng, z):
-    """wrap(x + eps*score + sqrt(2 eps) N(0, 1)), with z as work space."""
-    s = model.pdf_and_score(x)[1]
+def _propose(model, x, eps: float, rng, z, out):
+    """The Langevin proposal wrap(x + eps*score(x) + sqrt(2 eps) N(0, 1)),
+    summed in `out` (which may be x itself) with z as work space.  Returns
+    it with p(x) and the drift eps*score(x)."""
+    p, drift = model.pdf_and_score(x)
+    drift *= eps
     rng.standard_normal(out=z)
     z *= np.sqrt(2.0 * eps)
-    s *= eps
-    np.add(x, s, out=s)
-    s += z
-    return wrap(s)
+    np.add(x, drift, out=out)
+    out += z
+    return wrap(out), p, drift
 
 
 def _mala_step(model, x, eps: float, rng, z, w, accept) -> int:
     """One MALA step that moves x in place, with z, w and accept as work
     space; returns the number of proposals accepted.  The step's own
     arrays are freed on return, before the next step makes its own."""
-    p_cur, drift = model.pdf_and_score(x)
-    drift *= eps
-    rng.standard_normal(out=z)
-    z *= np.sqrt(2.0 * eps)
-    np.add(x, drift, out=w)
-    w += z
-    prop = wrap(w)
+    prop, p_cur, drift = _propose(model, x, eps, rng, z, w)
     p_prop, s_prop = model.pdf_and_score(prop)
     # Minimal signed circular displacement from x to the proposal.
     np.subtract(prop, x, out=w)

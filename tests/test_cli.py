@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from circfourier import (
     random_density,
     save_density,
 )
+from circfourier import cli
 from circfourier.refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
 from circfourier.cli import (
     METHODS,
@@ -160,6 +162,30 @@ class TestConfig:
                           "--t", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["refinement", "--n", "20", "--k", "80", "--s", "200000",
+         "--eps-mala", "2"],
+        ["sample", "--method", "daas+ula", "--k", "2097152", "--n", "200",
+         "--eps-ula", "2"],
+        ["sample", "--method", "daas", "--eps-mala", "2"],
+        ["convergence", "--eps-ula", "0"],
+        ["cost", "--eps-mala", "2"],
+        ["cost", "--t-sweep", "0,-1"],
+        ["convergence", "--d", "3"],
+    ])
+    def test_chain_and_kernel_checked_before_any_work(self, monkeypatch,
+                                                      capsys, argv):
+        # every command checks both chains and every kernel it could
+        # build, whatever the method, before it draws a grid or reference
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the config was checked")
+
+        for name in ("grid_ancestral_sample", "rejection_sample",
+                     "build_ancestor", "inverse_transform_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 _GRID_COMMANDS = [
     ("sample", "daas"), ("sample", "daas+ula"), ("sample", "daas+mala"),
@@ -259,6 +285,23 @@ class TestSampleCommand:
         lines = [ln for ln in text.splitlines() if ln.startswith("# acceptance")]
         assert [ln.split("=")[0] for ln in lines] == [
             "# acceptance_max", "# acceptance_min", "# acceptance_rate"]
+
+    @pytest.mark.parametrize("method", ["daas", "daas+mala", "inverse"])
+    def test_model_file_scale_and_offset_in_manifest(self, tmp_path, method):
+        path = tmp_path / "model.txt"
+        save_density(FourierDensity([1.0, 0.3], scale=2.5, offset=-0.75),
+                     path)
+        code, text = run_cli(tmp_path, "sample", "--model-file", str(path),
+                             "--method", method, "--k", "7", "--s", "20",
+                             "--t", "1")
+        assert code == 0
+        lines = text.splitlines()
+        assert "# scale=2.5" in lines and "# offset=-0.75" in lines
+        # a random model has no file, and so no scale or offset lines
+        code, text = run_cli(tmp_path, "sample", "--method", method, "--n",
+                             "2", "--k", "7", "--s", "20", "--t", "1")
+        assert code == 0
+        assert "scale=" not in text and "offset=" not in text
 
     def test_model_file_used(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -448,16 +491,24 @@ class TestModelFileBoundary:
         assert out == ""
 
     @pytest.mark.parametrize("method", ["daas", "inverse"])
-    def test_overflowing_normalization_exits_2(self, tmp_path, method):
-        # finite amplitudes whose c_0 = sum |a_k|^2 overflows to inf
+    def test_overflowing_normalization_exits_2(self, tmp_path, capsys,
+                                               method):
+        # finite amplitudes whose c_0 = sum |a_k|^2 overflows to inf; the
+        # error line is all that is printed, with no numpy warning before it
         path = tmp_path / "huge.model"
         path.write_text("1 1 0\n1e200 0\n1e200 0\n")
-        code, out = run_cli(
-            tmp_path, "sample", "--model-file", str(path), "--k", "7",
-            "--method", method, "--s", "10",
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(
+                tmp_path, "sample", "--model-file", str(path), "--k", "7",
+                "--method", method, "--s", "10",
+            )
         assert code == 2
         assert out == ""
+        assert capsys.readouterr().err == (
+            "error: normalization constant c_0 = sum |a_k|^2 overflows; "
+            "rescale the amplitudes\n"
+        )
 
     @pytest.mark.parametrize("text", [
         "",
