@@ -8,6 +8,7 @@ up to normalization), so any amplitude choice yields a valid density.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,7 @@ class FourierDensity:
         point."""
         vals = np.empty(np.shape(x))
         flat = vals.reshape(-1)
-        for sl, (A,) in _horner([self.amplitudes], x, -1.0):
+        for sl, (A,) in _horner([self.amplitudes], x):
             _squared_modulus(A, 2.0 * self._c0, flat[sl])
         if counter is not None:
             counter.pdf_evals += int(vals.size)
@@ -116,23 +117,24 @@ class FourierDensity:
             np.maximum(vals, PDF_FLOOR, out=vals)
         return vals if np.ndim(vals) else float(vals)
 
-    def _grid_weights(self, order: int) -> np.ndarray:
-        """Weights for e^{2 pi i n k / K} at grid x_k = -1 + 2k/K."""
+    def _series(self, order: int) -> np.ndarray:
+        """s_n = conj((c_n/c_0) (i pi n)^order), s_0 = 0: the order-th
+        derivative of p (order -1: the term-wise antiderivative of p - 1/2)
+        is Re sum_n s_n u^n at u = e^{-i pi x}."""
         n = np.arange(1, self.n_terms + 1)
-        return self._ratios * (1j * np.pi * n) ** order * (-1.0) ** n
+        return np.conj(np.concatenate(
+            ([0.0], self._ratios * (1j * np.pi * n) ** order)))
 
     def pdf_grid(self, K: int, counter: EvalCounter | None = None,
                  clamp: bool = True) -> np.ndarray:
-        """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, where
-        A(w_k) is the DFT of (-1)^j a_j zero-padded to K: O(K log K).
-        |A|^2 is formed in one real buffer, in place."""
-        K = int(K)
+        """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, from
+        A = _grid(a, K) in O(K log K); |A|^2 in one real buffer, in place."""
+        K = operator.index(K)
         if K < 2 * self.n_terms + 1:
             raise ValueError(
                 f"grid size K={K} below minimum 2N+1={2 * self.n_terms + 1}"
             )
-        signs = (-1.0) ** np.arange(self.n_terms + 1)
-        A = np.fft.fft(self.amplitudes * signs, K)
+        A = _grid(self.amplitudes, K)
         vals = np.square(A.real)
         vals += np.square(A.imag, out=A.imag)
         vals /= 2.0 * self._c0
@@ -144,39 +146,34 @@ class FourierDensity:
 
     def deriv_grid(self, K: int, order: int = 1) -> np.ndarray:
         """Analytic derivative of given order at the K grid points."""
-        K = int(K)
+        K = operator.index(K)
         if K < self.n_terms + 1:
             raise ValueError("grid too small to carry all frequency terms")
-        b = np.zeros(K, dtype=complex)
-        b[1 : self.n_terms + 1] = self._grid_weights(order)
-        return K * np.real(np.fft.ifft(b))
+        return _grid(self._series(order), K).real.copy()
 
     def deriv(self, x, order: int = 1):
         """Analytic derivative of the (unclamped) density at arbitrary x;
         order -1 gives the term-wise antiderivative of p - 1/2."""
-        n = np.arange(1, self.n_terms + 1)
-        b = np.concatenate(([0.0], self._ratios * (1j * np.pi * n) ** order))
         vals = np.empty(np.shape(x))
-        for sl, (P,) in _horner([b], x, 1.0):
-            vals.reshape(-1)[sl] = P.real  # sum_n b_n e^{i pi n x}
+        for sl, (P,) in _horner([self._series(order)], x):
+            vals.reshape(-1)[sl] = P.real
         return vals if np.ndim(vals) else float(vals)
 
     def cdf(self, x):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
-        Term-wise (x + 1)/2 + F(x) - F(-1), with F = deriv(x, order=-1),
-        summed into F(x) in place, (x + 1)/2 one block at a time."""
+        Term-wise (F(x) - F(-1)) + (x + 1)/2, with F = deriv(x, order=-1),
+        one block at a time; (x + 1)/2 is formed in the block's spare
+        imaginary part."""
         x = np.asarray(x, dtype=float)
-        vals = np.asarray(self.deriv(x, -1), dtype=float).reshape(-1)
-        vals -= self.deriv(-1.0, -1)
-        flat = x.reshape(-1)
-        half = np.empty(min(flat.size, _BLOCK))
-        for lo in range(0, flat.size, _BLOCK):
-            xb = flat[lo : lo + _BLOCK]
-            h = np.add(xb, 1.0, out=half[: xb.size])
-            h /= 2.0
-            vals[lo : lo + _BLOCK] += h
+        vals = np.empty(x.shape)
+        flat, xf = vals.reshape(-1), x.reshape(-1)
+        f0 = self.deriv(-1.0, -1)
+        for sl, (F,) in _horner([self._series(-1)], x):
+            np.subtract(F.real, f0, out=flat[sl])
+            np.add(xf[sl], 1.0, out=F.imag)
+            F.imag /= 2.0
+            flat[sl] += F.imag
         np.clip(vals, 0.0, 1.0, out=vals)
-        vals = vals.reshape(x.shape)
         return vals if np.ndim(vals) else float(vals)
 
     def pdf_and_score(self, x, counter: EvalCounter | None = None):
@@ -186,7 +183,7 @@ class FourierDensity:
         p, score = np.empty(np.shape(x)), np.empty(np.shape(x))
         p_flat, s_flat = p.reshape(-1), score.reshape(-1)
         rows = [self.amplitudes, np.arange(self.n_terms + 1) * self.amplitudes]
-        for sl, (A, wdA) in _horner(rows, x, -1.0):
+        for sl, (A, wdA) in _horner(rows, x):
             np.conjugate(A, out=A)
             np.multiply(A, wdA, out=wdA)
             np.multiply(wdA.imag, np.pi, out=s_flat[sl])
@@ -251,28 +248,25 @@ def _unit_table():
 _UNIT, _UNIT_RHO = _unit_table()
 
 
-def _unit_circle(x, sign: float, u, w, v) -> None:
-    """Write u = e^{sign i pi x} for |x| <= 2^20, using w and v, complex
+def _unit_circle(x, u, w, v) -> None:
+    """Write u = e^{-i pi x} for |x| <= 2^20, using w and v, complex
     arrays of x's size, as work space.
 
-    The angle is fl(pi x), as np.exp(1j*sign*np.pi*x) sees it.  Its
-    reduction d = fl(pi x) - pi m/J is exact but for two roundings near
+    The angle is fl(-pi x), as np.exp(-1j*np.pi*x) sees it.  Its
+    reduction d = fl(-pi x) - pi m/J is exact but for two roundings near
     2^-62, and |d| <= pi/(2J) + 2^-31 keeps the series' dropped terms
     below 2^-64.  Then u = T + T (eps + rho) drops only rho*eps < 2^-63,
     so each component lies within 2^-53 of the exact value
-    e^{sign i fl(pi x)} (most are that value correctly rounded).  NaN or
+    e^{-i fl(pi x)} (most are that value correctly rounded).  NaN or
     infinite x gives NaN.
     """
     a, b = v.view(float).reshape(2, -1)  # real work space
     c, idx = u.view(float).reshape(2, -1)
     idx = idx.view(np.int64)
-    if sign > 0:
-        np.add(x, _ROUND, out=a)
-    else:
-        np.subtract(_ROUND, x, out=a)
+    np.subtract(_ROUND, x, out=a)
     np.bitwise_and(a.view(np.int64), 2 * _J - 1, out=idx)  # m mod 2J
     a -= _ROUND  # m/J, exactly
-    np.multiply(x, sign * np.pi, out=b)
+    np.multiply(x, -np.pi, out=b)
     for piece in _PI_PIECES:
         np.multiply(a, piece, out=c)
         b -= c  # d
@@ -292,9 +286,9 @@ def _unit_circle(x, sign: float, u, w, v) -> None:
     np.add(v, w, out=u)  # T + T (eps + rho)
 
 
-def _horner(rows, x, sign: float):
+def _horner(rows, x):
     """Yield (sl, [P_0, ...]) per block of _BLOCK points of x, flattened:
-    P_i = sum_k rows[i][k] u^k at u = e^{sign i pi x[sl]}, by Horner's rule
+    P_i = sum_k rows[i][k] u^k at u = e^{-i pi x[sl]}, by Horner's rule
     with in-place ufuncs.  The work arrays are made once per call and the
     next block overwrites the yielded ones, so memory is flat in the
     number of points; a caller may use them as scratch."""
@@ -309,13 +303,19 @@ def _horner(rows, x, sign: float):
             # off the domain, or not finite: fmod by the period is exact
             xb = np.where(np.abs(xb) <= _REDUCE_MAX, xb, np.fmod(xb, 2.0))
         un, blk = u[:n], [P[:n] for P in Ps]
-        _unit_circle(xb, sign, un, blk[0], v[:n])
+        _unit_circle(xb, un, blk[0], v[:n])
         for P, b in zip(blk, rows):
             P.fill(b[-1])
             for c in b[-2::-1]:
                 P *= un
                 P += c
         yield slice(lo, lo + _BLOCK), blk
+
+
+def _grid(s, K: int) -> np.ndarray:
+    """sum_n s_n u^n at u_k = e^{-i pi x_k}, x_k = -1 + 2k/K: the FFT of
+    (-1)^n s_n zero-padded to K, as u_k^n = (-1)^n e^{-2 pi i n k / K}."""
+    return np.fft.fft(s * (-1.0) ** np.arange(s.size), K)
 
 
 def wrap(x):
@@ -383,7 +383,6 @@ def load_density(path) -> FourierDensity:
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric field: {exc}") from exc
     if len(rows) != n_terms + 2:
-        raise ValueError(
-            f"expected {n_terms + 1} amplitude lines, got {len(rows) - 1}"
-        )
+        raise ValueError(f"{path}: expected {n_terms + 1} amplitude "
+                         f"lines, got {len(rows) - 1}")
     return FourierDensity(amps, scale=scale, offset=offset)

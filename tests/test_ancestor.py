@@ -5,10 +5,12 @@ import pytest
 
 from circfourier import (
     AncestorPmf,
+    BSplineKernel,
     EvalCounter,
     FourierDensity,
     build_alias,
     build_ancestor,
+    grid_ancestral_sample,
     random_density,
     reconstruct_pmf,
     sample_ancestors,
@@ -38,6 +40,24 @@ class TestBuildAncestor:
         c = EvalCounter()
         build_ancestor(random_density(4, 1), 37, c)
         assert c.pdf_evals == 37
+
+    @pytest.mark.parametrize("k", [50.5, 64.0])
+    def test_non_integral_k_rejected(self, k):
+        # int(50.5) would build a 50-cell PMF that sums to 0.99 and place
+        # the samples on a 50.5 spacing
+        m = random_density(4, 1)
+        for build in (lambda: build_ancestor(m, k), lambda: m.deriv_grid(k),
+                      lambda: grid_ancestral_sample(m, k, BSplineKernel(1),
+                                                    10, 0)):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_numpy_integer_k_accepted(self):
+        m = random_density(4, 1)
+        k = np.int64(64)
+        assert np.array_equal(build_ancestor(m, k).probs,
+                              build_ancestor(m, 64).probs)
+        assert np.array_equal(m.deriv_grid(k), m.deriv_grid(64))
 
     def test_grid_geometry(self):
         pmf = build_ancestor(FourierDensity([1.0]), 4)

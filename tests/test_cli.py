@@ -625,8 +625,8 @@ _FLAGS = {
     "--d": st.integers(0, 2),
     "--s": st.integers(1, 64),
     "--t": st.integers(0, 3),
-    "--eps-ula": st.sampled_from([1e-5, 1e-3, 0.5, 1e300]),
-    "--eps-mala": st.sampled_from([1e-5, 1e-3, 0.5, 1e300]),
+    "--eps-ula": st.sampled_from([1e-5, 1e-3, 0.5, 1.0]),
+    "--eps-mala": st.sampled_from([1e-5, 1e-3, 0.5, 1.0]),
     "--schedule": st.sampled_from(SCHEDULES),
     "--method": st.sampled_from(METHODS),
     "--trials": st.integers(1, 2),
@@ -636,7 +636,8 @@ _FLAGS = {
     "--degrees": _csv(st.lists(st.integers(0, 2), min_size=1, max_size=3)),
     "--tol": st.sampled_from([1e-10, 1e-3, 0.5, 10.0, 5e-324]),
 }
-_ODD = ["-1", "0", "3", "inf", "nan", "-inf", "", "x", "1,1", "2,-1", "linear"]
+_ODD = ["-1", "0", "2", "3", "inf", "nan", "-inf", "", "x", "1,1", "2,-1",
+        "linear", "1e300"]
 # None: no model file; int: a valid file of that many terms; bytes: any file
 _MODEL_FILES = st.one_of(st.none(), st.integers(0, 8), st.binary(max_size=40))
 

@@ -328,6 +328,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_density(path)
 
+    def test_count_mismatch_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 1 0\n1 0\n1 0\n")
+        with pytest.raises(ValueError) as err:
+            load_density(path)
+        assert str(err.value) == f"{path}: expected 3 amplitude lines, got 2"
+
     @pytest.mark.parametrize("text", [
         "",
         "1 1\n1 0\n1 0\n",
