@@ -70,10 +70,12 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
     prefix sums and binary searches (Hubschle-Schneider and Sanders,
     "Parallel Weighted Random Sampling", 2019):
 
-    - light i keeps w_i and aliases the first heavy j with P_H(j) > P_L(i-1);
     - heavy j keeps 1 + P_H(j) - P_L(i*-1), where i* is the first light with
       P_L(i*-1) >= P_H(j) (past the last light, the total deficit), and
-      aliases the next heavy.
+      aliases the next heavy;
+    - light i keeps w_i and aliases the first heavy j with P_H(j) > P_L(i-1),
+      that is j = #{h : i*(h) <= i}, so one binary search, of the heavies
+      into the deficit prefix, serves both.
 
     Zero cells are lights that keep 0.  A cell left over by rounding, a
     light with no heavy or a heavy with no i*, keeps 1 and aliases itself.
@@ -106,11 +108,6 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
     drained = np.searchsorted(surplus, deficit[-1], side="right")
     alias = np.arange(k)
 
-    j = np.searchsorted(surplus, deficit[:filled], side="right")
-    alias[lights[:filled]] = heavies[j]
-    del j
-    prob[lights[filled:]] = 1.0
-
     i_star = np.searchsorted(deficit, surplus[:drained], side="left")
     # 1 + P_H(j) - P_L(i*-1), summed in this order, in surplus's buffer.
     kept = surplus[:drained]
@@ -118,6 +115,15 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
     kept -= deficit[i_star]
     prob[heavies[:drained]] = kept
     prob[heavies[drained:]] = 1.0
+
+    # j(i) = #{h : i*(h) <= i}, a count of the i* and its prefix sum; the
+    # heavies past drained have i* beyond every light.
+    j = np.bincount(i_star, minlength=filled)[:filled]
+    del i_star
+    np.cumsum(j, out=j)
+    alias[lights[:filled]] = heavies[j]
+    del j
+    prob[lights[filled:]] = 1.0
     # Each drained heavy aliases the next; the last heavy has no successor
     # and keeps 1 up to rounding.
     successor = heavies[1 : drained + 1]

@@ -77,6 +77,8 @@ class ExperimentConfig:
         built (FourierDensity.pdf_grid)."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.n < 0:
             raise ConfigError("n must be >= 0")
         if self.s < 1:

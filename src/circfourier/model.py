@@ -128,7 +128,7 @@ class FourierDensity:
     def pdf_grid(self, K: int, counter: EvalCounter | None = None,
                  clamp: bool = True) -> np.ndarray:
         """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, from
-        A = _grid(a, K) in O(K log K); |A|^2 in one real buffer, in place."""
+        A = _grid(a, K), a pruned FFT; |A|^2 in one real buffer, in place."""
         K = operator.index(K)
         if K < 2 * self.n_terms + 1:
             raise ValueError(
@@ -313,9 +313,44 @@ def _horner(rows, x):
 
 
 def _grid(s, K: int) -> np.ndarray:
-    """sum_n s_n u^n at u_k = e^{-i pi x_k}, x_k = -1 + 2k/K: the FFT of
-    (-1)^n s_n zero-padded to K, as u_k^n = (-1)^n e^{-2 pi i n k / K}."""
-    return np.fft.fft(s * (-1.0) ** np.arange(s.size), K)
+    """sum_n s_n u^n at u_k = e^{-i pi x_k}, x_k = -1 + 2k/K: the DFT of
+    t_n = (-1)^n s_n zero-padded to K, as u_k^n = (-1)^n w^{nk} with
+    w = e^{-2 pi i/K}, pruned to the N+1 taps (Markel 1971).
+
+    With K = Q P, Q the least divisor of K that is at least N+1, and
+    k = k1 + P k2, X[k] = sum_{n<Q} (t_n w^{n k1}) e^{-2 pi i n k2/Q}: one
+    length-Q FFT down each column of a (Q, P) array whose rows n <= N
+    hold t_n w^{n k1} and the rest zeros, O(K log Q) in all, and in C
+    order the result is indexed by k.  The twiddle w^{n k1}, k1 = R h + l
+    with R a divisor of P near sqrt(P), is w^{n R h} w^{n l}, from two
+    small tables.  A prime K gives Q = K and P = 1 when N >= 1: the plain
+    zero-padded FFT.
+    """
+    Q = _least_divisor(K, s.size)
+    P = K // Q
+    R = _least_divisor(P, math.isqrt(P))
+    n = np.arange(s.size)[:, None]
+    # n R h and n l stay below Q P = K, so no reduction mod K is needed
+    coarse = np.exp(n * np.arange(0, P, R) * (-2j * np.pi / K))
+    coarse *= s[:, None] * (-1.0) ** n
+    fine = np.exp(n * np.arange(R) * (-2j * np.pi / K))
+    Y = np.zeros((Q, P), complex)
+    np.multiply(coarse[:, :, None], fine[:, None, :],
+                out=Y[: s.size].reshape(s.size, P // R, R))
+    return np.fft.fft(Y, axis=0, out=Y).reshape(-1)
+
+
+def _least_divisor(K: int, m: int) -> int:
+    """The least divisor of K that is at least m (1 <= m <= K), by trial
+    division up to sqrt(K)."""
+    least = K
+    for d in range(1, math.isqrt(K) + 1):
+        if K % d == 0:
+            if d >= m:
+                return d  # every cofactor K // d' is at least sqrt(K) >= d
+            if K // d >= m:
+                least = K // d
+    return least
 
 
 def wrap(x):
@@ -366,7 +401,8 @@ def load_density(path) -> FourierDensity:
 
     Raises ValueError on a malformed file: empty, a header that is not
     'N scale offset', an amplitude line that is not 're im', a field that
-    is not a number, or a count of amplitude lines other than N+1.
+    is not a number, a negative N, or a count of amplitude lines other
+    than N+1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.split() for ln in fh if ln.strip()]
@@ -382,6 +418,8 @@ def load_density(path) -> FourierDensity:
         amps = np.array([complex(float(re), float(im)) for re, im in rows[1:]])
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric field: {exc}") from exc
+    if n_terms < 0:
+        raise ValueError(f"{path}: N must be >= 0")
     if len(rows) != n_terms + 2:
         raise ValueError(f"{path}: expected {n_terms + 1} amplitude "
                          f"lines, got {len(rows) - 1}")

@@ -167,6 +167,10 @@ def test_agrees_with_vose_reference(w):
 # the last light's deficit 2^-53 rounds away, so the light before it has a
 # prefix deficit equal to the total surplus, 1: that light is not filled
 @example(np.array([0.0, 1.0 - 2.0**-53, 2.0]))
+# a heavy's surplus prefix equals a light's deficit prefix, exactly (0.5
+# and 1, then 0.75 and 1): the side of the one search decides the alias
+@example(np.array([0.5, 1.5, 0.5, 1.5]))
+@example(np.array([0.25, 1.75, 0.75, 1.25]))
 def test_bit_equal_to_masked_reference(w):
     pmf = AncestorPmf(w)
     assert_bit_equal(build_alias(pmf), masked_sweep_reference(pmf))

@@ -186,6 +186,19 @@ class TestConfig:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command",
+                             ["sample", "convergence", "refinement", "cost"])
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch, capsys,
+                                                    command):
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the config was checked")
+
+        for name in ("grid_ancestral_sample", "rejection_sample",
+                     "build_ancestor", "inverse_transform_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main([command, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
 
 _GRID_COMMANDS = [
     ("sample", "daas"), ("sample", "daas+ula"), ("sample", "daas+mala"),

@@ -335,6 +335,15 @@ class TestSerialization:
             load_density(path)
         assert str(err.value) == f"{path}: expected 3 amplitude lines, got 2"
 
+    @pytest.mark.parametrize("text", ["-1 1 0\n", "-2 1 0\n1 0\n"])
+    def test_negative_n_names_the_file(self, tmp_path, text):
+        # "-1 1 0" alone has the N + 2 = 1 rows that N asks for
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_density(path)
+        assert str(err.value) == f"{path}: N must be >= 0"
+
     @pytest.mark.parametrize("text", [
         "",
         "1 1\n1 0\n1 0\n",
