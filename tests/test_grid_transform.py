@@ -49,7 +49,7 @@ def check_pdf_grid(model, K):
     c0 = float(np.sum(np.abs(a) ** 2))
     want = np.abs(reference_grid(a, K)) ** 2 / (2.0 * c0)
     scale = np.sum(np.abs(a)) ** 2 / (2.0 * c0)  # the largest |A|^2/(2 c_0)
-    got = model.pdf_grid(K, clamp=False)
+    got = model.pdf_grid(K)
     assert got.shape == (K,)
     assert np.all(got >= 0.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * scale

@@ -134,7 +134,7 @@ class TestPdf:
     def test_positivity_unclamped(self, seed):
         rng = np.random.default_rng(seed)
         m = random_density(int(rng.integers(1, 201)), rng)
-        vals = m.pdf_grid(10000, clamp=False)
+        vals = m.pdf_grid(10000)
         assert vals.min() >= -1e-9
 
 
@@ -166,7 +166,7 @@ class TestPdfGrid:
     def test_grid_sum_identity(self, k_extra):
         m = random_density(13, 21)
         k = 2 * 13 + 1 + k_extra
-        total = m.pdf_grid(k, clamp=False).sum()
+        total = m.pdf_grid(k).sum()
         assert total == pytest.approx(k / 2.0, rel=1e-9)
 
     def test_counter_bills_k(self):
@@ -235,33 +235,25 @@ class TestScore:
 
 
 class TestDerivatives:
-    @pytest.mark.parametrize(
-        "n_terms,expected",
-        [
-            (0, (0.0, 0.0)),
-            (1, (math.pi, math.pi**2)),
-            (10, (55 * math.pi, 385 * math.pi**2)),
-        ],
-    )
-    def test_bounds_closed_form(self, n_terms, expected):
-        m = random_density(n_terms, 0)
-        b1, b2 = m.derivative_bounds()
-        assert b1 == pytest.approx(expected[0])
-        assert b2 == pytest.approx(expected[1])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_bounds_hold_on_grid(self, seed):
-        m = random_density(20, seed)
-        b1, b2 = m.derivative_bounds()
-        assert np.max(np.abs(m.deriv_grid(4096, order=1))) <= b1
-        assert np.max(np.abs(m.deriv_grid(4096, order=2))) <= b2
-
     def test_deriv_matches_pdf_finite_difference(self):
         m = random_density(7, 12)
         xs = np.linspace(-0.9, 0.9, 50)
         h = 1e-6
         fd = (m.pdf(xs + h, clamp=False) - m.pdf(xs - h, clamp=False)) / (2 * h)
         assert np.allclose(m.deriv(xs), fd, atol=1e-4)
+
+    @pytest.mark.parametrize("order", [0, -2, 1.5, 1.0, "1"])
+    def test_undefined_order_rejected(self, order):
+        # order 0 would give p - 1/2, and a fractional order means nothing
+        m = random_density(5, 3)
+        for evaluate in (lambda: m.deriv(0.25, order),
+                         lambda: m.deriv_grid(16, order)):
+            with pytest.raises(ValueError, match="derivative order"):
+                evaluate()
+
+    def test_numpy_integer_order_accepted(self):
+        m = random_density(5, 3)
+        assert m.deriv(0.25, np.int64(2)) == m.deriv(0.25, 2)
 
 
 class TestRealLineTransform:
@@ -343,6 +335,17 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             load_density(path)
         assert str(err.value) == f"{path}: N must be >= 0"
+
+    @pytest.mark.parametrize("text,error", [
+        ("1 1 0\n0 0\n0 0\n", "all-zero amplitudes"),
+        ("0 -1 0\n1 0\n", "scale must be finite and positive"),
+    ], ids=["all-zero", "negative-scale"])
+    def test_rejected_values_name_the_file(self, tmp_path, text, error):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_density(path)
+        assert str(err.value).startswith(f"{path}: {error}")
 
     @pytest.mark.parametrize("text", [
         "",
