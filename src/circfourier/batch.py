@@ -146,7 +146,10 @@ def _fmt(v) -> str:
 
 
 def read_csv(fh) -> SampleBatch:
-    """Inverse of write_csv; manifest values come back as strings in meta."""
+    """Inverse of write_csv: the ledger line restores the counter, and the
+    other manifest values come back as strings in meta.  S and total_evals,
+    which write_csv derives, are checked against the rows and the ledger
+    (ValueError on a mismatch) and dropped."""
     meta: dict = {}
     seed = None
     vals = []
@@ -164,4 +167,11 @@ def read_csv(fh) -> SampleBatch:
                         meta[k] = v
             continue
         vals.append(float(line))
-    return SampleBatch(samples=np.array(vals), seed=seed, meta=meta)
+    counter = EvalCounter(int(meta.pop("pdf_evals", 0)),
+                          int(meta.pop("score_evals", 0)))
+    for key, actual in (("S", len(vals)), ("total_evals", counter.total_evals)):
+        stated = meta.pop(key, None)
+        if stated is not None and int(stated) != actual:
+            raise ValueError(f"manifest {key}={stated}, but the file gives {actual}")
+    return SampleBatch(samples=np.array(vals), seed=seed, counter=counter,
+                       meta=meta)

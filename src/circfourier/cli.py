@@ -26,14 +26,7 @@ from .metrics import (
     rejection_sample,
 )
 from .model import EvalCounter, load_density, random_density
-from .refine import (
-    MALA_SCORES_PER_STEP,
-    SCHEDULES,
-    ULA_SCORES_PER_STEP,
-    LangevinConfig,
-    mala_refine,
-    ula_refine,
-)
+from .refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
 
 METHODS = ("daas", "daas+ula", "daas+mala", "rejection", "inverse")
 
@@ -94,7 +87,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if not self.degrees:
             raise ConfigError("degrees must not be empty")
-        for name, (_, eps, _) in _chains(self).items():
+        for name, (_, eps) in _chains(self).items():
             for t in (self.t, *self.t_sweep):
                 _build(f"{name} chain at T={t}", LangevinConfig,
                        step_size=eps, schedule=self.schedule, steps=t)
@@ -111,9 +104,8 @@ def _build(where: str, make, *args, **kwargs):
 
 
 def _chains(cfg: ExperimentConfig) -> dict:
-    """Each Langevin chain by name: (refiner, step size, scores per step)."""
-    return {"ula": (ula_refine, cfg.eps_ula, ULA_SCORES_PER_STEP),
-            "mala": (mala_refine, cfg.eps_mala, MALA_SCORES_PER_STEP)}
+    """Each Langevin chain by name: (refiner, step size)."""
+    return {"ula": (ula_refine, cfg.eps_ula), "mala": (mala_refine, cfg.eps_mala)}
 
 
 def _parse_value(raw: str, current):
@@ -177,7 +169,7 @@ def run_sample(cfg: ExperimentConfig) -> SampleBatch:
             model, cfg.k, kernel, cfg.s, draw_rng, counter
         )
         if cfg.method != "daas":
-            refine, eps, _ = _chains(cfg)[cfg.method.removeprefix("daas+")]
+            refine, eps = _chains(cfg)[cfg.method.removeprefix("daas+")]
             lcfg = LangevinConfig(step_size=eps, schedule=cfg.schedule,
                                   steps=cfg.t)
             batch = refine(model, batch, lcfg, draw_rng, counter)
@@ -241,7 +233,7 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
     ref = rejection_sample(model, cfg.s, ref_rng).samples
     w1_zero = empirical_w1(base.samples, ref).estimate
     rows = [(0, "daas", w1_zero)]
-    for (name, (refine, eps, _)), crng in zip(chains.items(), chain_rngs):
+    for (name, (refine, eps)), crng in zip(chains.items(), chain_rngs):
         batch = base
         done = 0
         for t_steps in t_sweep:
@@ -260,27 +252,14 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
 
 def run_cost(cfg: ExperimentConfig) -> list[tuple[str, int]]:
     """Rows (method, model evaluations) for drawing S samples, each named
-    as its --method.
+    as its --method and measured by running it: the ledger of the batch
+    run_sample returns.  The grid methods run first, so that a K too small
+    for the model fails before the rejection draw."""
+    def bill(method):
+        return run_sample(replace(cfg, method=method)).counter.total_evals
 
-    Grid methods are the grid's bill (K, from building it) plus the
-    refinement bill of S*T steps at the refiners' own scores per step; the
-    rejection row is measured by actually running the sampler.
-    """
-    cfg.validate()
-    model_rng, draw_rng = np.random.default_rng(cfg.seed).spawn(2)
-    model = _get_model(cfg, model_rng)
-    grid = EvalCounter()
-    build_ancestor(model, cfg.k, grid)
-    counter = EvalCounter()
-    rejection_sample(model, cfg.s, draw_rng, counter)
-    steps = cfg.s * cfg.t
-    return [
-        ("rejection", counter.total_evals),
-        *((f"daas+{name}",
-           EvalCounter(grid.pdf_evals, scores * steps).total_evals)
-          for name, (_, _, scores) in _chains(cfg).items()),
-        ("daas", grid.total_evals),
-    ]
+    grid = [(m, bill(m)) for m in ("daas+ula", "daas+mala", "daas")]
+    return [("rejection", bill("rejection")), *grid]
 
 
 def _write_rows(rows, fh) -> None:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The density may vanish at points; clamping there keeps log and score finite.
+# The density may vanish at points; pdf_and_score clamps p there, so that
+# its score and MALA's log p stay finite.
 PDF_FLOOR = 1e-12
 
 _BLOCK = 1 << 14  # points per block of the pointwise evaluations
@@ -103,18 +104,16 @@ class FourierDensity:
     def n_terms(self) -> int:
         return self.amplitudes.size - 1
 
-    def pdf(self, x, counter: EvalCounter | None = None, clamp: bool = True):
+    def pdf(self, x, counter: EvalCounter | None = None):
         """Density |A(w)|^2 / (2 c_0) >= 0 at x in [-1, 1), with
-        A(w) = sum_k a_k w^k at w = e^{-i pi x}.  Bills one pdf evaluation per
-        point."""
+        A(w) = sum_k a_k w^k at w = e^{-i pi x}; unclamped, as pdf_grid.
+        Bills one pdf evaluation per point."""
         vals = np.empty(np.shape(x))
         flat = vals.reshape(-1)
         for sl, (A,) in _horner([self.amplitudes], x):
             _squared_modulus(A, 2.0 * self._c0, flat[sl])
         if counter is not None:
             counter.pdf_evals += int(vals.size)
-        if clamp:
-            np.maximum(vals, PDF_FLOOR, out=vals)
         return vals if np.ndim(vals) else float(vals)
 
     def _series(self, order: int) -> np.ndarray:

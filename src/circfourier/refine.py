@@ -18,10 +18,6 @@ from .batch import SampleBatch
 from .model import EvalCounter, FourierDensity, wrap
 
 SCHEDULES = ("constant", "decay")
-# Score evaluations per sample per step, as each refiner bills them: ULA
-# scores the current point, MALA the current point and the proposal.
-ULA_SCORES_PER_STEP = 1
-MALA_SCORES_PER_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -62,16 +58,15 @@ def ula_refine(
 ) -> SampleBatch:
     """Unadjusted Langevin chain: x <- wrap(x + eps*score + sqrt(2 eps) z).
 
-    Each step takes the Langevin proposal as it stands.  Bills
-    ULA_SCORES_PER_STEP score evaluations (two model evaluations each) per
-    sample per step, into `counter` or else into a copy of the batch's
-    ledger.  The schedule continues from the batch's step count meta["T"],
-    which the result advances by cfg.steps.  steps == 0 returns the
-    samples unchanged.
+    Each step takes the Langevin proposal as it stands, scoring the
+    current point.  Every score evaluation is billed where it is made, into
+    `counter` or else into a copy of the batch's ledger.  The schedule
+    continues from the batch's step count meta["T"], which the result
+    advances by cfg.steps.  steps == 0 returns the samples unchanged.
     """
     return _refine(
-        batch, cfg, rng, counter, "ula", ULA_SCORES_PER_STEP,
-        lambda x, eps, rng, z: _propose(model, x, eps, rng, z, x)[0],
+        batch, cfg, rng, counter, "ula",
+        lambda x, eps, rng, z, c: _propose(model, x, eps, rng, z, x, c)[0],
     )
 
 
@@ -84,21 +79,20 @@ def mala_refine(
 ) -> SampleBatch:
     """Metropolis-adjusted Langevin chain.
 
-    Each step makes the ULA proposal and accepts it with the usual ratio;
-    MALA_SCORES_PER_STEP score evaluations per sample per step, billed and
-    scheduled as in ula_refine.  The mean acceptance rate of these steps,
-    and the lowest and highest rate of any one step, go into the batch
-    manifest.
+    Each step makes the ULA proposal and accepts it with the usual ratio,
+    scoring the current point and the proposal; billed and scheduled as in
+    ula_refine.  The mean acceptance rate of these steps, and the lowest
+    and highest rate of any one step, go into the batch manifest.
     """
     size = batch.samples.size
     w, accept = np.empty(size), np.empty(size, dtype=bool)
     accepted = []
 
-    def step(x, eps, rng, z):
-        accepted.append(_mala_step(model, x, eps, rng, z, w, accept))
+    def step(x, eps, rng, z, counter):
+        accepted.append(_mala_step(model, x, eps, rng, z, w, accept, counter))
         return x
 
-    out = _refine(batch, cfg, rng, counter, "mala", MALA_SCORES_PER_STEP, step)
+    out = _refine(batch, cfg, rng, counter, "mala", step)
     rates = [a / size for a in accepted] or [1.0]
     out.meta.update(
         acceptance_rate=sum(accepted) / (size * cfg.steps) if cfg.steps else 1.0,
@@ -108,9 +102,9 @@ def mala_refine(
     return out
 
 
-def _refine(batch, cfg, rng, counter, name: str, scores_per_step: int, step):
-    """The chain `name`: x = step(x, eps, rng, z) from a copy of the
-    batch's samples, with z as work space, scheduled and billed as
+def _refine(batch, cfg, rng, counter, name: str, step):
+    """The chain `name`: x = step(x, eps, rng, z, counter) from a copy of
+    the batch's samples, with z as work space, scheduled and billed as
     ula_refine says."""
     rng = np.random.default_rng(rng)
     if counter is None:
@@ -119,8 +113,7 @@ def _refine(batch, cfg, rng, counter, name: str, scores_per_step: int, step):
     x = batch.samples.copy()
     z = np.empty(x.size)
     for t in range(t0, t0 + cfg.steps):
-        x = step(x, cfg.step_at(t), rng, z)
-    counter.score_evals += scores_per_step * x.size * cfg.steps
+        x = step(x, cfg.step_at(t), rng, z, counter)
     return SampleBatch(
         samples=x,
         seed=batch.seed,
@@ -129,11 +122,12 @@ def _refine(batch, cfg, rng, counter, name: str, scores_per_step: int, step):
     )
 
 
-def _propose(model, x, eps: float, rng, z, out):
+def _propose(model, x, eps: float, rng, z, out, counter):
     """The Langevin proposal wrap(x + eps*score(x) + sqrt(2 eps) N(0, 1)),
     summed in `out` (which may be x itself) with z as work space.  Returns
-    it with p(x) and the drift eps*score(x)."""
-    p, drift = model.pdf_and_score(x)
+    it with p(x) and the drift eps*score(x); the score is billed to
+    counter."""
+    p, drift = model.pdf_and_score(x, counter)
     drift *= eps
     rng.standard_normal(out=z)
     z *= np.sqrt(2.0 * eps)
@@ -142,12 +136,13 @@ def _propose(model, x, eps: float, rng, z, out):
     return wrap(out), p, drift
 
 
-def _mala_step(model, x, eps: float, rng, z, w, accept) -> int:
+def _mala_step(model, x, eps: float, rng, z, w, accept, counter) -> int:
     """One MALA step that moves x in place, with z, w and accept as work
-    space; returns the number of proposals accepted.  The step's own
-    arrays are freed on return, before the next step makes its own."""
-    prop, p_cur, drift = _propose(model, x, eps, rng, z, w)
-    p_prop, s_prop = model.pdf_and_score(prop)
+    space, billing its two scores to counter; returns the number of
+    proposals accepted.  The step's own arrays are freed on return, before
+    the next step makes its own."""
+    prop, p_cur, drift = _propose(model, x, eps, rng, z, w, counter)
+    p_prop, s_prop = model.pdf_and_score(prop, counter)
     # Minimal signed circular displacement from x to the proposal.
     np.subtract(prop, x, out=w)
     delta = wrap(w)

@@ -54,9 +54,31 @@ class TestCsvRoundTrip:
         assert back.samples.tobytes() == samples.tobytes()
         assert back.seed == 12
         assert back.meta["K"] == "50"
-        assert back.meta["total_evals"] == "64"
+        assert back.counter.total_evals == 64
         assert back.meta["method"] == "daas+ula"
         assert float(back.meta["step"]) == 1e-5
+
+    @pytest.mark.parametrize("method", ["daas", "daas+mala", "rejection"])
+    def test_write_of_read_is_identity(self, method):
+        batch = run_sample(ExperimentConfig(
+            n=6, k=40, s=300, t=3, seed=5, method=method
+        ))
+        text = io.StringIO()
+        batch.write_csv(text)
+        again = io.StringIO()
+        read_csv(io.StringIO(text.getvalue())).write_csv(again)
+        assert again.getvalue().encode() == text.getvalue().encode()
+
+    @pytest.mark.parametrize("line,wrong", [
+        ("# seed=1 S=3", "# seed=1 S=2"),
+        ("total_evals=9", "total_evals=8"),
+    ], ids=["rows", "ledger"])
+    def test_derived_manifest_values_checked(self, line, wrong):
+        text = ("# seed=1 S=3\n# pdf_evals=5 score_evals=2 total_evals=9\n"
+                "0.5\n-0.25\n0.125\n")
+        assert read_csv(io.StringIO(text)).counter.total_evals == 9
+        with pytest.raises(ValueError, match=wrong.split()[-1]):
+            read_csv(io.StringIO(text.replace(line, wrong)))
 
 
 class _DiscardingSink:

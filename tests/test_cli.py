@@ -515,6 +515,33 @@ class TestCostCommand:
         assert abs(rows["rejection"] - 2 * 10**6) < 3 * sigma
 
 
+    def test_grid_methods_run_before_rejection(self, monkeypatch, tmp_path):
+        # K = 2N is below the grid's minimum 2N+1: cost exits 2 on its first
+        # grid method, before it would draw the rejection sample
+        def drawn(*args, **kwargs):
+            raise AssertionError("rejection sample drawn")
+
+        monkeypatch.setattr(cli, "rejection_sample", drawn)
+        code, text = run_cli(tmp_path, "cost", "--n", "10", "--k", "20")
+        assert (code, text) == (2, "")
+
+    def test_rows_equal_sample_manifests(self, tmp_path):
+        """Each row is the total_evals line of `sample --method` under the
+        same flags."""
+        path = tmp_path / "model.txt"
+        save_density(random_density(4, 11), path)
+        flags = ("--k", "30", "--s", "200", "--t", "4", "--d", "2",
+                 "--schedule", "decay", "--seed", "6", "--model-file", str(path))
+        code, text = run_cli(tmp_path, "cost", *flags)
+        assert code == 0
+        rows = [ln.split(",") for ln in text.splitlines()]
+        assert [m for m, _ in rows] == ["rejection", "daas+ula", "daas+mala", "daas"]
+        for method, evals in rows:
+            code, out = run_cli(tmp_path, "sample", "--method", method, *flags)
+            assert code == 0
+            assert f" total_evals={evals}\n" in out
+
+
 class TestCommandTable:
     @pytest.mark.parametrize("command,result,text", [
         ("sample", SampleBatch(np.array([0.5, -0.25]), seed=3),

@@ -49,7 +49,7 @@ def models(draw):
 def test_pdf_agrees_with_power_recurrence(case):
     m, x = case
     ref = series_reference(x, m._ratios, 0.5)
-    assert np.all(np.abs(m.pdf(x, clamp=False) - ref) <= 1e-12 * (1 + np.abs(ref)))
+    assert np.all(np.abs(m.pdf(x) - ref) <= 1e-12 * (1 + np.abs(ref)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,7 +97,7 @@ def test_cdf_and_deriv_agree_with_power_recurrence(case):
 @given(models(), st.integers(0, 5000))
 def test_density_non_negative_and_grid_sums_to_half_k(case, k_extra):
     m, x = case
-    assert np.all(m.pdf(x, clamp=False) >= 0.0)
+    assert np.all(m.pdf(x) >= 0.0)
     k = 2 * m.n_terms + 1 + k_extra
     assert np.all(m.pdf_grid(k) >= 0.0)
     assert abs(m.pdf_grid(k).sum() - k / 2) <= 1e-12 * (k / 2)

@@ -12,6 +12,7 @@ from circfourier import (
     save_density,
     to_real_line,
 )
+from circfourier.model import PDF_FLOOR
 
 
 class TestConstruction:
@@ -109,10 +110,11 @@ class TestPdf:
         assert c.pdf_evals == 8
 
     def test_clamp_floor(self):
+        # pdf is unclamped: at the density's zero it reads about 0, below
+        # the floor that only pdf_and_score applies
         m = FourierDensity([1.0, 1.0])
-        assert m.pdf(-1.0) >= 0.0
-        # unclamped value may dip microscopically below zero
-        assert m.pdf(-1.0, clamp=False) == pytest.approx(0.0, abs=1e-12)
+        assert 0.0 <= m.pdf(-1.0) < PDF_FLOOR
+        assert m.pdf_and_score(-1.0)[0] == PDF_FLOOR
 
     @pytest.mark.parametrize("seed", range(5))
     def test_scale_invariance(self, seed):
@@ -239,7 +241,7 @@ class TestDerivatives:
         m = random_density(7, 12)
         xs = np.linspace(-0.9, 0.9, 50)
         h = 1e-6
-        fd = (m.pdf(xs + h, clamp=False) - m.pdf(xs - h, clamp=False)) / (2 * h)
+        fd = (m.pdf(xs + h) - m.pdf(xs - h)) / (2 * h)
         assert np.allclose(m.deriv(xs), fd, atol=1e-4)
 
     @pytest.mark.parametrize("order", [0, -2, 1.5, 1.0, "1"])

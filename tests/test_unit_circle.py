@@ -84,7 +84,7 @@ def test_evaluations_nan_at_non_finite_points():
     x = np.array([0.25, np.nan, np.inf, -np.inf])
     with np.errstate(invalid="ignore"):
         p, s = m.pdf_and_score(x)
-        for vals in (m.pdf(x, clamp=False), p, s, m.deriv(x)):
+        for vals in (m.pdf(x), p, s, m.deriv(x)):
             assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:]))
 
 
