@@ -71,6 +71,20 @@ class SampleBatch:
             fh.write(_format_rows(self.samples[start : start + _BLOCK_ROWS]))
 
 
+def begin_draw(size: int, rng, counter: EvalCounter | None = None):
+    """The start of every draw of `size` samples: (seed, generator, ledger).
+
+    Raises ValueError when size < 1.  The seed is rng as a Python int when
+    rng is an integer, else None; the generator is default_rng(rng); the
+    ledger is `counter`, or a fresh EvalCounter when none is passed.
+    """
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
+    ledger = EvalCounter() if counter is None else counter
+    return seed, np.random.default_rng(rng), ledger
+
+
 def _format_rows(x) -> str:
     """The lines "%.17g\n" % v of the values x, joined.
 

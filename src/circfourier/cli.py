@@ -25,7 +25,7 @@ from .metrics import (
     kl_monte_carlo,
     rejection_sample,
 )
-from .model import EvalCounter, load_density, random_density
+from .model import load_density, random_density
 from .refine import SCHEDULES, LangevinConfig, mala_refine, ula_refine
 
 METHODS = ("daas", "daas+ula", "daas+mala", "rejection", "inverse")
@@ -56,7 +56,8 @@ class ExperimentConfig:
     method: str = field(default="daas",
                         metadata={"help": "one of " + ", ".join(METHODS)})
     trials: int = 1
-    k_sweep: tuple = field(default=(), metadata={"help": "comma-separated K values"})
+    k_sweep: tuple = field(default=(128, 256, 512, 1024, 2048),
+                           metadata={"help": "comma-separated K values"})
     t_sweep: tuple = field(default=(0, 1, 5, 20, 100, 500),
                            metadata={"help": "comma-separated T values"})
     degrees: tuple = field(default=(1,),
@@ -83,14 +84,13 @@ class ExperimentConfig:
             raise ConfigError("tol must be finite and positive")
         for name in ("k_sweep", "degrees"):
             vals = getattr(self, name)
+            if not vals:
+                raise ConfigError(f"{name} must not be empty")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        if not self.degrees:
-            raise ConfigError("degrees must not be empty")
-        for name, (_, eps) in _chains(self).items():
+        for name, (_, chain) in _chains(self).items():
             for t in (self.t, *self.t_sweep):
-                _build(f"{name} chain at T={t}", LangevinConfig,
-                       step_size=eps, schedule=self.schedule, steps=t)
+                _build(f"{name} chain at T={t}", chain, t)
         for d in (self.d, *self.degrees):
             _build("kernel", BSplineKernel, d)
 
@@ -104,8 +104,13 @@ def _build(where: str, make, *args, **kwargs):
 
 
 def _chains(cfg: ExperimentConfig) -> dict:
-    """Each Langevin chain by name: (refiner, step size)."""
-    return {"ula": (ula_refine, cfg.eps_ula), "mala": (mala_refine, cfg.eps_mala)}
+    """Each Langevin chain by name: (refiner, steps -> its LangevinConfig)."""
+    def chain(eps):
+        return lambda steps: LangevinConfig(
+            step_size=eps, schedule=cfg.schedule, steps=steps)
+
+    return {"ula": (ula_refine, chain(cfg.eps_ula)),
+            "mala": (mala_refine, chain(cfg.eps_mala))}
 
 
 def _parse_value(raw: str, current):
@@ -156,23 +161,17 @@ def run_sample(cfg: ExperimentConfig) -> SampleBatch:
     cfg.validate()
     model_rng, draw_rng = np.random.default_rng(cfg.seed).spawn(2)
     model = _get_model(cfg, model_rng)
-    counter = EvalCounter()
     if cfg.method == "rejection":
-        batch = rejection_sample(model, cfg.s, draw_rng, counter)
+        batch = rejection_sample(model, cfg.s, draw_rng)
     elif cfg.method == "inverse":
-        batch = inverse_transform_sample(
-            model, cfg.s, draw_rng, tol=cfg.tol, counter=counter
-        )
+        batch = inverse_transform_sample(model, cfg.s, draw_rng, tol=cfg.tol)
     else:
-        kernel = BSplineKernel(cfg.d)
         batch = grid_ancestral_sample(
-            model, cfg.k, kernel, cfg.s, draw_rng, counter
+            model, cfg.k, BSplineKernel(cfg.d), cfg.s, draw_rng
         )
         if cfg.method != "daas":
-            refine, eps = _chains(cfg)[cfg.method.removeprefix("daas+")]
-            lcfg = LangevinConfig(step_size=eps, schedule=cfg.schedule,
-                                  steps=cfg.t)
-            batch = refine(model, batch, lcfg, draw_rng, counter)
+            refine, chain = _chains(cfg)[cfg.method.removeprefix("daas+")]
+            batch = refine(model, batch, chain(cfg.t), draw_rng)
     batch.seed = cfg.seed
     batch.meta["method"] = cfg.method
     if cfg.model_file:
@@ -193,7 +192,6 @@ def run_convergence(
     Trial t draws from default_rng(seed + t): its random model (if any)
     first, then its reference sample.
     """
-    cfg = replace(cfg, k_sweep=cfg.k_sweep or (128, 256, 512, 1024, 2048))
     cfg.validate()
     rows = []
     for trial in range(cfg.trials):
@@ -219,7 +217,8 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
     """Rows (T, method, W1) against a rejection-sampled reference.
 
     Chains advance incrementally through the sorted T sweep, so the row at
-    each T is the state of one continuous chain after T steps.
+    each T is the state of one continuous chain after T steps; each batch
+    says in meta["T"] how far its chain has got.
     """
     cfg.validate()
     t_sweep = sorted(t for t in set(cfg.t_sweep) if t > 0)
@@ -233,15 +232,11 @@ def run_refinement(cfg: ExperimentConfig) -> list[tuple[int, str, float]]:
     ref = rejection_sample(model, cfg.s, ref_rng).samples
     w1_zero = empirical_w1(base.samples, ref).estimate
     rows = [(0, "daas", w1_zero)]
-    for (name, (refine, eps)), crng in zip(chains.items(), chain_rngs):
+    for (name, (refine, chain)), crng in zip(chains.items(), chain_rngs):
         batch = base
-        done = 0
         for t_steps in t_sweep:
-            lcfg = LangevinConfig(
-                step_size=eps, schedule=cfg.schedule, steps=t_steps - done
-            )
-            batch = refine(model, batch, lcfg, crng)
-            done = t_steps
+            steps = t_steps - batch.meta.get("T", 0)
+            batch = refine(model, batch, chain(steps), crng)
             w1 = empirical_w1(batch.samples, ref).estimate
             if not np.isfinite(w1):
                 raise NumericalError("non-finite W1 estimate")

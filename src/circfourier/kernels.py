@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ancestor import AncestorPmf, build_alias, build_ancestor, sample_ancestors
-from .batch import SampleBatch
+from .batch import SampleBatch, begin_draw
 from .model import _BLOCK, EvalCounter, FourierDensity, wrap
 
 SUPPORTED_DEGREES = (0, 1, 2)
@@ -113,19 +113,14 @@ def grid_ancestral_sample(
     point and wrapping into [-1, 1).
     The evaluation bill is K, independent of `size`.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    rng = np.random.default_rng(rng)
-    if counter is None:
-        counter = EvalCounter()
+    seed, rng, counter = begin_draw(size, rng, counter)
     table = build_alias(build_ancestor(model, K, counter))
     idx = sample_ancestors(table, size, rng)
     u = kernel.sample(size, rng)
     x = wrap(-1.0 + (2.0 / K) * (idx + u))
     return SampleBatch(
         samples=x,
-        seed=int(seed) if seed is not None else None,
+        seed=seed,
         counter=counter,
         meta={"K": int(K), "D": kernel.degree},
     )

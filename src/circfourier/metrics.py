@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import SampleBatch
+from .batch import SampleBatch, begin_draw
 from .model import EvalCounter, FourierDensity
 
 KL_FLOOR = 1e-12
@@ -27,7 +27,6 @@ _REJECTION_CHUNK = 1 << 18
 class DivergenceReport:
     estimate: float
     std_error: float
-    method: str  # quadrature | monte-carlo | empirical
 
 
 def rejection_sample(
@@ -45,16 +44,13 @@ def rejection_sample(
 
     Bills one pdf evaluation per proposal, and the bill stops at the
     proposal that yields the final acceptance; the proposal count goes into
-    the manifest.  Each pass draws C = 1.1 (S - accepted) M proposals (at
-    least 1024, at most _REJECTION_CHUNK, so memory beyond the output is
-    flat in `size`): C uniforms x, then C uniforms u, from `rng`.
+    the manifest.  The bill is kept here, not by pdf, because a pass
+    evaluates its whole chunk, past that last proposal.  Each pass draws
+    C = 1.1 (S - accepted) M proposals (at least 1024, at most
+    _REJECTION_CHUNK, so memory beyond the output is flat in `size`):
+    C uniforms x, then C uniforms u, from `rng`.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    rng = np.random.default_rng(rng)
-    if counter is None:
-        counter = EvalCounter()
+    seed, rng, counter = begin_draw(size, rng, counter)
     m_const = model.envelope_constant()
     samples = np.empty(size)
     collected = 0
@@ -80,10 +76,9 @@ def rejection_sample(
         collected += acc_idx.size
     return SampleBatch(
         samples=samples,
-        seed=int(seed) if seed is not None else None,
+        seed=seed,
         counter=counter,
-        meta={"proposals": n_proposals, "method": "rejection",
-              "envelope": m_const},
+        meta={"proposals": n_proposals, "envelope": m_const},
     )
 
 
@@ -96,32 +91,26 @@ def inverse_transform_sample(
 ) -> SampleBatch:
     """Numeric inverse-CDF samples by bisection on the monotone CDF.
 
-    Converges in ceil(log2(2/tol)) iterations per batch.  Bills one pdf
-    evaluation per CDF point, size * ceil(log2(2/tol)) in all.
+    Converges in ceil(log2(2/tol)) iterations per batch.  cdf bills one
+    pdf evaluation per point, size * ceil(log2(2/tol)) in all.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    seed, rng, counter = begin_draw(size, rng, counter)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    rng = np.random.default_rng(rng)
-    if counter is None:
-        counter = EvalCounter()
     target = rng.random(size)
     lo = np.full(size, -1.0)
     hi = np.full(size, 1.0)
     # log2(2/tol) as 1 - log2(tol): 2/tol overflows for subnormal tol
     for _ in range(math.ceil(1.0 - math.log2(tol))):
         mid = 0.5 * (lo + hi)
-        below = model.cdf(mid) < target
-        counter.pdf_evals += size
+        below = model.cdf(mid, counter) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return SampleBatch(
         samples=0.5 * (lo + hi),
-        seed=int(seed) if seed is not None else None,
+        seed=seed,
         counter=counter,
-        meta={"tol": tol, "method": "inverse"},
+        meta={"tol": tol},
     )
 
 
@@ -140,7 +129,7 @@ def tv_quadrature(p_eval, q_eval) -> DivergenceReport:
             break
         prev = val
         m *= 2
-    return DivergenceReport(float(val), 0.0, "quadrature")
+    return DivergenceReport(float(val), 0.0)
 
 
 def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
@@ -157,7 +146,7 @@ def w1_quadrature(p_eval, q_eval) -> DivergenceReport:
     p_cdf = _cumtrapz(np.asarray(p_eval(xs), dtype=float), dx)
     q_cdf = _cumtrapz(np.asarray(q_eval(xs), dtype=float), dx)
     val = np.trapezoid(np.abs(p_cdf - q_cdf), xs)
-    return DivergenceReport(float(val), 0.0, "quadrature")
+    return DivergenceReport(float(val), 0.0)
 
 
 def tv_bound(n_terms: int, K: int) -> float:
@@ -185,7 +174,7 @@ def kl_monte_carlo(p_samples: SampleBatch, p_eval, q_eval) -> DivergenceReport:
         raise ValueError("empty sample batch")
     vals = np.log(np.asarray(p_eval(x)) / np.maximum(np.asarray(q_eval(x)), KL_FLOOR))
     se = float(np.std(vals, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-    return DivergenceReport(float(np.mean(vals)), se, "monte-carlo")
+    return DivergenceReport(float(np.mean(vals)), se)
 
 
 def empirical_w1(xs, ys) -> DivergenceReport:
@@ -204,7 +193,7 @@ def empirical_w1(xs, ys) -> DivergenceReport:
         xs = _rank_subsample(xs, m)
         ys = _rank_subsample(ys, m)
     val = float(np.mean(np.abs(xs - ys)))
-    return DivergenceReport(val, 0.0, "empirical")
+    return DivergenceReport(val, 0.0)
 
 
 def _rank_subsample(sorted_vals: np.ndarray, m: int) -> np.ndarray:

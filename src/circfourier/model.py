@@ -158,11 +158,11 @@ class FourierDensity:
             vals.reshape(-1)[sl] = P.real
         return vals if np.ndim(vals) else float(vals)
 
-    def cdf(self, x):
+    def cdf(self, x, counter: EvalCounter | None = None):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
         Term-wise (F(x) - F(-1)) + (x + 1)/2, with F = deriv(x, order=-1),
         one block at a time; (x + 1)/2 is formed in the block's spare
-        imaginary part."""
+        imaginary part.  Bills one pdf evaluation per point, as pdf does."""
         x = np.asarray(x, dtype=float)
         vals = np.empty(x.shape)
         flat, xf = vals.reshape(-1), x.reshape(-1)
@@ -173,6 +173,8 @@ class FourierDensity:
             F.imag /= 2.0
             flat[sl] += F.imag
         np.clip(vals, 0.0, 1.0, out=vals)
+        if counter is not None:
+            counter.pdf_evals += int(vals.size)
         return vals if np.ndim(vals) else float(vals)
 
     def pdf_and_score(self, x, counter: EvalCounter | None = None):

@@ -1,10 +1,20 @@
 import io
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from circfourier import EvalCounter, SampleBatch, read_csv
+from circfourier import (
+    BSplineKernel,
+    EvalCounter,
+    SampleBatch,
+    grid_ancestral_sample,
+    inverse_transform_sample,
+    random_density,
+    read_csv,
+    rejection_sample,
+)
 from circfourier.batch import _BLOCK_ROWS
 from circfourier.cli import ExperimentConfig, main, run_sample
 
@@ -79,6 +89,62 @@ class TestCsvRoundTrip:
         assert read_csv(io.StringIO(text)).counter.total_evals == 9
         with pytest.raises(ValueError, match=wrong.split()[-1]):
             read_csv(io.StringIO(text.replace(line, wrong)))
+
+
+MODEL = random_density(4, 0)
+K = 16
+TOL = 1e-3
+# Each sampler, as draw(size, rng, counter), with the bill of its batch.
+SAMPLERS = {
+    "grid": (lambda size, rng, counter: grid_ancestral_sample(
+        MODEL, K, BSplineKernel(1), size, rng, counter),
+        lambda batch: K),
+    "rejection": (lambda size, rng, counter: rejection_sample(
+        MODEL, size, rng, counter),
+        lambda batch: batch.meta["proposals"]),
+    "inverse": (lambda size, rng, counter: inverse_transform_sample(
+        MODEL, size, rng, TOL, counter),
+        lambda batch: batch.size * math.ceil(math.log2(2 / TOL))),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLERS))
+class TestDrawContract:
+    """Every sampler starts its draw alike: size checked, integer seed
+    recorded, ledger opened or continued."""
+
+    def test_empty_draw_rejected(self, name):
+        draw, _ = SAMPLERS[name]
+        with pytest.raises(ValueError, match="size"):
+            draw(0, 7, None)
+
+    @pytest.mark.parametrize("rng,seed", [
+        (7, 7), (np.int64(7), 7), (np.random.default_rng(7), None),
+    ], ids=["int", "np.int64", "Generator"])
+    def test_seed_recorded(self, name, rng, seed):
+        draw, _ = SAMPLERS[name]
+        got = draw(20, rng, None).seed
+        assert got == seed
+        assert type(got) is type(seed)
+
+    def test_fresh_ledger_holds_the_bill(self, name):
+        draw, bill = SAMPLERS[name]
+        batch = draw(20, 7, None)
+        assert batch.counter.total_evals == bill(batch) > 0
+
+    def test_ledger_passed_in_is_the_batch_ledger(self, name):
+        draw, bill = SAMPLERS[name]
+        counter = EvalCounter(pdf_evals=3)
+        batch = draw(20, 7, counter)
+        assert batch.counter is counter
+        assert counter.total_evals == 3 + bill(batch)
+
+
+def test_cdf_bills_one_pdf_evaluation_per_point():
+    counter = EvalCounter()
+    x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    MODEL.cdf(x, counter)
+    assert (counter.pdf_evals, counter.score_evals) == (x.size, 0)
 
 
 class _DiscardingSink:

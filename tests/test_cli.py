@@ -436,6 +436,12 @@ class TestConvergenceCommand:
         )
         assert got == code
 
+    @pytest.mark.parametrize("flag", ["--k-sweep", "--degrees"])
+    def test_empty_sweep_exits_2(self, capsys, flag):
+        assert main(["convergence", "--n", "3", "--s", "100", flag, ""]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must not be empty" in capsys.readouterr().err
+
 
 class TestRefinementCommand:
     def test_includes_unrefined_row(self):
@@ -729,8 +735,8 @@ _FLAGS = {
     "--schedule": st.sampled_from(SCHEDULES),
     "--method": st.sampled_from(METHODS),
     "--trials": st.integers(1, 2),
-    "--k-sweep": _csv(st.lists(st.integers(1, 40), unique=True, max_size=3)
-                      .map(sorted)),
+    "--k-sweep": _csv(st.lists(st.integers(1, 40), min_size=1, max_size=3,
+                               unique=True).map(sorted)),
     "--t-sweep": _csv(st.lists(st.integers(0, 3), max_size=3)),
     "--degrees": _csv(st.lists(st.integers(0, 2), min_size=1, max_size=3,
                                unique=True).map(sorted)),
