@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("tol must be finite and positive")
+        if self.tol >= 2:
+            raise ConfigError("tol must be below 2, the width of the domain")
         for name in ("k_sweep", "degrees"):
             vals = getattr(self, name)
             if not vals:

@@ -44,16 +44,33 @@ class BSplineKernel:
         u = np.asarray(u, dtype=float)
         if self.degree == 0:
             vals = np.where((u >= -0.5) & (u < 0.5), 1.0, 0.0)
-        elif self.degree == 1:
-            vals = np.maximum(0.0, 1.0 - np.abs(u))
         else:
             a = np.abs(u)
-            vals = np.where(
-                a <= 0.5,
-                0.75 - u * u,
-                np.where(a <= 1.5, 0.5 * (1.5 - a) ** 2, 0.0),
-            )
+            vals = np.zeros(a.shape)
+            for band in reversed(range(self.degree // 2 + 1)):
+                edge = self.support_halfwidth - (self.degree // 2 - band)
+                vals = np.where(a <= edge, self.piece(band, a), vals)
         return vals if np.ndim(vals) else float(vals)
+
+    def piece(self, band: int, a, out=None):
+        """The polynomial the density equals in one band of |u| = a,
+        written into out (which may be a itself) when given.  Band 0 is
+        [0, 1/2] for even degree and [0, 1] for odd; each further band is
+        one unit wide, and the last ends at the support's edge.  Pieces
+        of neighbouring bands agree exactly at the edge between them."""
+        out = np.empty(np.shape(a)) if out is None else out
+        if self.degree == 0:
+            out.fill(1.0)
+        elif self.degree == 1:
+            np.subtract(1.0, a, out=out)
+        elif band == 0:
+            np.multiply(a, a, out=out)
+            np.subtract(0.75, out, out=out)
+        else:
+            np.subtract(1.5, a, out=out)
+            np.square(out, out=out)
+            out *= 0.5
+        return out
 
     def sample(self, size: int, rng) -> np.ndarray:
         """Sum of degree+1 uniforms on [-1/2, 1/2); mean zero."""
@@ -67,34 +84,64 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
 
     Kernel copies wrap around the circle (shifts at x_k +/- 2); only the
     D+1 kernels overlapping x are touched, in increasing k, the first at
-    k0 = floor(t - (D-1)/2) with t = (K/2)(x + 1).  Points go in blocks of
-    _BLOCK, so the temporaries stay cache-sized at any number of points.
+    k0 = floor(t - (D-1)/2) with t = (K/2)(x + 1), and each only through
+    the one piece of w it can reach there.  O(S (D+1)) for S points, in
+    blocks of _BLOCK with work arrays made once per call.  The weights
+    come from one table of p wrapped by a few cells at each end, which
+    covers every k for x in [-1, 1); a block with x outside takes k mod K
+    first (and x mod 2 where |t| >= 2^53), and a non-finite x gives NaN.
     """
     x = np.asarray(x, dtype=float)
     q = np.empty(x.shape)
     flat_x, flat_q = x.reshape(-1), q.reshape(-1)
+    k_grid, degree = pmf.size, kernel.degree
+    half_k, lead = 0.5 * k_grid, degree // 2 + 1
+    # table[lead + k] = p[k mod K] for -lead <= k <= K + D
+    table = np.pad(pmf.probs, (lead, degree + 1), mode="wrap")
+    n = min(flat_x.size, _BLOCK)
+    t, k, u, w = (np.empty(n) for _ in range(4))
+    idx, up = np.empty(n, np.intp), np.empty(n, bool)
     for lo in range(0, flat_x.size, _BLOCK):
-        flat_q[lo : lo + _BLOCK] = _compound_block(
-            pmf, kernel, flat_x[lo : lo + _BLOCK])
+        xb, qb = flat_x[lo : lo + _BLOCK], flat_q[lo : lo + _BLOCK]
+        m = xb.size
+        tb, kb, ub, wb, ib, hb = t[:m], k[:m], u[:m], w[:m], idx[:m], up[:m]
+        np.add(xb, 1.0, out=tb)
+        tb *= half_k
+        off_domain = not (0.0 <= tb.min() and tb.max() <= k_grid)
+        if off_domain:  # or not finite: computed at t = 0, then set to NaN
+            bad = ~np.isfinite(tb)
+            tb[bad] = 0.0
+            # past 2^53 neighbouring cells are not all floats: x is first
+            # reduced by its period, exactly, as _horner does
+            far = np.abs(tb) >= 2.0**53
+            tb[far] = half_k * (np.fmod(xb[far], 2.0) + 1.0)
+        np.floor(tb, out=kb)
+        if degree % 2 == 0:
+            # k0 from the exact fraction t - floor(t), so that rounding in
+            # t - (D-1)/2 cannot skip an overlapping kernel
+            np.subtract(tb, kb, out=ub)
+            np.greater_equal(ub, 0.5, out=hb)
+            kb += hb
+            kb -= degree // 2
+        np.add(np.mod(kb, k_grid, out=ub) if off_domain else kb, lead,
+               out=ib, casting="unsafe")
+        for off in range(degree + 1):
+            if off:
+                kb += 1
+            np.subtract(tb, kb, out=ub)
+            np.abs(ub, out=ub)
+            # |u| lies in this band, or on its edge, where both pieces agree
+            kernel.piece(abs(2 * off - degree) // 2, ub, out=ub)
+            np.take(table[off:], ib, out=wb)
+            if off:
+                ub *= wb
+                qb += ub
+            else:
+                np.multiply(ub, wb, out=qb)
+        qb *= half_k
+        if off_domain:
+            qb[bad] = np.nan
     return q if np.ndim(q) else float(q)
-
-
-def _compound_block(pmf: AncestorPmf, kernel: BSplineKernel,
-                    x: np.ndarray) -> np.ndarray:
-    k_grid = pmf.size
-    t = 0.5 * k_grid * (x + 1.0)
-    base = np.floor(t)
-    # k0 from the exact fraction t - floor(t), so that rounding in
-    # t - (D-1)/2 cannot skip an overlapping kernel.
-    k0 = base.astype(int) - kernel.degree // 2
-    if kernel.degree % 2 == 0:
-        k0 += t - base >= 0.5
-    q = np.zeros(t.shape)
-    for off in range(kernel.degree + 1):
-        k = k0 + off
-        q += kernel.pdf(t - k) * pmf.probs[k % k_grid]
-    q *= 0.5 * k_grid
-    return q
 
 
 def grid_ancestral_sample(

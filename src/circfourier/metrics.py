@@ -91,12 +91,16 @@ def inverse_transform_sample(
 ) -> SampleBatch:
     """Numeric inverse-CDF samples by bisection on the monotone CDF.
 
-    Converges in ceil(log2(2/tol)) iterations per batch.  cdf bills one
-    pdf evaluation per point, size * ceil(log2(2/tol)) in all.
+    Converges in ceil(log2(2/tol)) iterations per batch, for 0 < tol < 2.
+    cdf bills one pdf evaluation per point, size * ceil(log2(2/tol)) in
+    all.
     """
     seed, rng, counter = begin_draw(size, rng, counter)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    if tol >= 2:
+        # no bisection step would be taken: every sample the midpoint 0
+        raise ValueError("tol must be below 2, the width of the domain")
     target = rng.random(size)
     lo = np.full(size, -1.0)
     hi = np.full(size, 1.0)

@@ -294,8 +294,10 @@ def _horner(rows, x):
         xb = x[lo : lo + _BLOCK]
         n = xb.size
         if not (-_REDUCE_MAX <= xb.min() and xb.max() <= _REDUCE_MAX):
-            # off the domain, or not finite: fmod by the period is exact
-            xb = np.where(np.abs(xb) <= _REDUCE_MAX, xb, np.fmod(xb, 2.0))
+            # off the domain, or not finite: fmod by the period is exact,
+            # and NaN at +-inf, where _unit_circle gives NaN
+            with np.errstate(invalid="ignore"):
+                xb = np.where(np.abs(xb) <= _REDUCE_MAX, xb, np.fmod(xb, 2.0))
         un, blk = u[:n], [P[:n] for P in Ps]
         _unit_circle(xb, un, blk[0], v[:n])
         for P, b in zip(blk, rows):

@@ -221,6 +221,26 @@ class TestConfig:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--method", "inverse", "--n", "3", "--s", "5", "--tol", "10",
+         "--seed", "1"],
+        ["sample", "--method", "inverse", "--tol", "2"],
+        ["convergence", "--tol", "2"],
+    ])
+    def test_tol_of_two_or_more_rejected_before_any_work(
+            self, monkeypatch, capsys, argv):
+        # bisection from [-1, 1) takes ceil(log2(2/tol)) steps, none at all
+        # for tol >= 2, which put every sample at the midpoint 0
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the config was checked")
+
+        for name in ("grid_ancestral_sample", "rejection_sample",
+                     "build_ancestor", "inverse_transform_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: tol must be below 2, the width of the domain\n"
+
 
 _GRID_COMMANDS = [
     ("sample", "daas"), ("sample", "daas+ula"), ("sample", "daas+mala"),
@@ -740,7 +760,7 @@ _FLAGS = {
     "--t-sweep": _csv(st.lists(st.integers(0, 3), max_size=3)),
     "--degrees": _csv(st.lists(st.integers(0, 2), min_size=1, max_size=3,
                                unique=True).map(sorted)),
-    "--tol": st.sampled_from([1e-10, 1e-3, 0.5, 10.0, 5e-324]),
+    "--tol": st.sampled_from([1e-10, 1e-3, 0.5, 1.5, 5e-324]),
 }
 _ODD = ["-1", "0", "2", "3", "inf", "nan", "-inf", "", "x", "1,1", "2,-1",
         "linear", "1e300"]

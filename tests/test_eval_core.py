@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from circfourier import FourierDensity, random_density
+from circfourier import (BSplineKernel, FourierDensity, build_ancestor,
+                         compound_pdf, random_density)
 from circfourier.model import PDF_FLOOR
 
 
@@ -118,3 +119,22 @@ def test_evaluation_memory_flat_in_points():
         if name == "cdf":
             # one output array plus a block of (x + 1)/2 and Horner's arrays
             assert peak <= x.nbytes + 2**20, peak - x.nbytes
+
+
+def test_compound_pdf_memory_flat_in_points():
+    """Traced peak of compound_pdf stays within its output, its wrapped
+    table of K + D//2 + D + 2 weights and 1 MiB of work arrays."""
+    m = random_density(50, 0)
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, 2**20)
+    for k in (2048, 2**16):
+        pmf = build_ancestor(m, k)
+        for degree in (0, 1, 2):
+            kernel = BSplineKernel(degree)
+            table = 8 * (k + degree // 2 + degree + 2)
+            tracemalloc.start()
+            try:
+                compound_pdf(pmf, kernel, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= x.nbytes + table + 2**20, (k, degree, peak - x.nbytes)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from circfourier import (
@@ -26,6 +29,32 @@ def five_offset_compound_pdf(pmf, kernel, x):
         q += kernel.pdf(t - k) * pmf.probs[k % k_grid]
     q *= 0.5 * k_grid
     return q if np.ndim(q) else float(q)
+
+
+@st.composite
+def compound_cases(draw):
+    """(pmf, x, scalars): N < 60 and 2N+1 <= K < 4N+40, with K = 2N+1
+    itself drawn often; x holds the grid, the cell midpoints, the float
+    neighbours of both, 20000 uniform points and both ends of [-1, 1),
+    then points off it: exactly 1.0, just below -1 (where the first
+    overlapping cell is negative), grid points moved by whole periods and
+    |x| up to 1e6."""
+    n = draw(st.integers(0, 59))
+    k = draw(st.one_of(st.just(2 * n + 1), st.integers(2 * n + 1, 4 * n + 39)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pmf = build_ancestor(random_density(n, rng), k)
+    grid = pmf.grid()
+    mids = grid + 1.0 / k
+    periods = 2.0 * rng.integers(-1000, 1000, grid.size)
+    drawn = draw(st.lists(st.floats(-1e6, 1e6), max_size=20))
+    xs = np.concatenate([
+        grid, mids, np.nextafter(grid, 2.0), np.nextafter(mids, -2.0),
+        rng.uniform(-1.0, 1.0, 20000), [-1.0, np.nextafter(1.0, 0.0)],
+        [1.0, np.nextafter(-1.0, -2.0)], -1.0 - rng.uniform(0.0, 4.0 / k, 50),
+        grid + periods, mids - periods, rng.uniform(-1e6, 1e6, 200), drawn,
+    ])
+    scalars = [-1.0, float(mids[0]), np.nextafter(1.0, 0.0), 1.0, *drawn[:3]]
+    return pmf, xs, scalars
 
 
 class TestKernelPdf:
@@ -63,6 +92,16 @@ class TestKernelPdf:
         assert np.trapezoid(k.pdf(us), us) == pytest.approx(1.0, abs=1e-6)
         interior = np.linspace(0.013, 1.987, 199)  # avoid the half-open edge
         assert np.allclose(k.pdf(interior), k.pdf(-interior), atol=1e-12)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_pieces_agree_at_band_edges(self, degree):
+        # compound_pdf evaluates each kernel copy by the piece of the band
+        # its |u| should lie in; at a band edge either piece must do
+        k = BSplineKernel(degree)
+        edges = np.arange(degree // 2 + 1) + k.support_halfwidth - degree // 2
+        for band, edge in enumerate(edges):
+            outer = k.piece(band + 1, edge) if band < edges.size - 1 else 0.0
+            assert k.piece(band, edge) == outer == k.pdf(edge)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_support(self, degree):
@@ -161,27 +200,45 @@ class TestCompoundPdf:
         assert np.sum(q) * 2.0 / cells == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
-    def test_equals_five_offset_sum(self, degree):
+    @settings(max_examples=60, deadline=None)
+    @given(case=compound_cases())
+    def test_equals_five_offset_sum(self, degree, case):
         # the same nonzero terms in the same order: bit-identical
-        rng = np.random.default_rng(11)
+        pmf, xs, scalars = case
         kernel = BSplineKernel(degree)
-        for case in range(20):
-            n = int(rng.integers(0, 60))
-            k = int(rng.integers(2 * n + 1, 4 * n + 40))
-            pmf = build_ancestor(random_density(n, case), k)
-            grid = pmf.grid()
-            mids = grid + 1.0 / k
-            xs = np.concatenate([
-                grid, mids, np.nextafter(grid, 2.0), np.nextafter(mids, -2.0),
-                rng.uniform(-1.0, 1.0, 20000), [-1.0, np.nextafter(1.0, 0.0)],
-            ])
-            # more points than one block, flat and as a 2-D array
-            for x in (xs, xs[: 3 * (xs.size // 3)].reshape(3, -1)):
-                assert np.array_equal(compound_pdf(pmf, kernel, x),
-                                      five_offset_compound_pdf(pmf, kernel, x))
-            for x in (-1.0, float(mids[0]), np.nextafter(1.0, 0.0)):
-                assert compound_pdf(pmf, kernel, x) == \
-                    five_offset_compound_pdf(pmf, kernel, x)
+        # more points than one block, flat and as a 2-D array
+        for x in (xs, xs[: 3 * (xs.size // 3)].reshape(3, -1)):
+            assert np.array_equal(compound_pdf(pmf, kernel, x),
+                                  five_offset_compound_pdf(pmf, kernel, x))
+        for x in scalars:
+            assert compound_pdf(pmf, kernel, x) == \
+                five_offset_compound_pdf(pmf, kernel, x)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_non_finite_gives_nan_without_warning(self, degree):
+        pmf = build_ancestor(random_density(5, 1), 16)
+        x = np.array([0.25, np.nan, np.inf, -np.inf, 3.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = compound_pdf(pmf, BSplineKernel(degree), x)
+            for v in (np.nan, np.inf, -np.inf):
+                assert np.isnan(compound_pdf(pmf, BSplineKernel(degree), v))
+        assert np.all(np.isfinite(q[[0, 4]])) and np.all(np.isnan(q[1:4]))
+        # a finite point in a block with a non-finite one keeps its value
+        assert np.array_equal(q[[0, 4]],
+                              compound_pdf(pmf, BSplineKernel(degree), x[[0, 4]]))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_far_points_reduced_by_the_period(self, degree):
+        # past |t| = 2^53 the cells next to x are not all floats, so x is
+        # reduced mod 2 first, exactly, and q keeps its period there
+        pmf = build_ancestor(random_density(5, 1), 2048)
+        kernel = BSplineKernel(degree)
+        x = np.array([1e13, -1e13 + 0.5, 2.0**60, 1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = compound_pdf(pmf, kernel, x)
+        assert np.array_equal(q, compound_pdf(pmf, kernel, np.fmod(x, 2.0)))
 
     def test_wraps_at_boundary(self):
         # mass from the cell at k=0 must appear just below x=1

@@ -150,6 +150,18 @@ class TestInverseTransformSampling:
         with pytest.raises(ValueError):
             inverse_transform_sample(FourierDensity([1.0]), 10, 0, tol=math.inf)
 
+    @pytest.mark.parametrize("tol", [2.0, 10.0])
+    def test_tol_of_two_or_more_rejected(self, tol):
+        with pytest.raises(ValueError, match="below 2"):
+            inverse_transform_sample(FourierDensity([1.0]), 5, 1, tol=tol)
+
+    def test_tol_just_below_two_takes_one_step(self):
+        c = EvalCounter()
+        batch = inverse_transform_sample(FourierDensity([1.0]), 100, 1,
+                                         tol=1.99, counter=c)
+        assert c.pdf_evals == 100
+        assert set(batch.samples.tolist()) == {-0.5, 0.5}
+
     def test_subnormal_tol(self):
         # 2/tol overflows; the bisection still runs ceil(log2(2/tol)) steps
         c = EvalCounter()

@@ -7,6 +7,7 @@ component must lie within 2^-53 of it, and nearly all must equal it bit for
 bit (a table without its low part gives about 56%).
 """
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -80,12 +81,20 @@ def test_non_finite_gives_nan():
 
 
 def test_evaluations_nan_at_non_finite_points():
+    # with no warning: the reduction by the period, fmod, is invalid at
+    # +-inf, but NaN is what the evaluations promise there
     m = random_density(7, 3)
     x = np.array([0.25, np.nan, np.inf, -np.inf])
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         p, s = m.pdf_and_score(x)
-        for vals in (m.pdf(x), p, s, m.deriv(x)):
-            assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:]))
+        evaluations = [m.pdf(x), p, s, m.score(x), m.cdf(x),
+                       *(m.deriv(x, order) for order in (-1, 1, 2))]
+        scalars = [f(v) for f in (m.pdf, m.score, m.cdf, m.deriv)
+                   for v in (np.nan, np.inf, -np.inf)]
+    for vals in evaluations:
+        assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:]))
+    assert np.all(np.isnan(scalars))
 
 
 def test_far_points_reduced_by_the_period():
