@@ -14,7 +14,7 @@ import numpy as np
 
 from .ancestor import AncestorPmf, build_alias, build_ancestor, sample_ancestors
 from .batch import SampleBatch, begin_draw
-from .model import _BLOCK, EvalCounter, FourierDensity, wrap
+from .model import _BLOCK, EvalCounter, FourierDensity, _reduce, wrap
 
 SUPPORTED_DEGREES = (0, 1, 2)
 
@@ -45,7 +45,9 @@ class BSplineKernel:
         if self.degree == 0:
             vals = np.where((u >= -0.5) & (u < 0.5), 1.0, 0.0)
         else:
-            a = np.abs(u)
+            # past the support every piece is 0 at its edge; clipping
+            # there keeps the pieces finite at any |u|
+            a = np.minimum(np.abs(u), self.support_halfwidth)
             vals = np.zeros(a.shape)
             for band in reversed(range(self.degree // 2 + 1)):
                 edge = self.support_halfwidth - (self.degree // 2 - band)
@@ -89,7 +91,8 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
     blocks of _BLOCK with work arrays made once per call.  The weights
     come from one table of p wrapped by a few cells at each end, which
     covers every k for x in [-1, 1); a block with x outside takes k mod K
-    first (and x mod 2 where |t| >= 2^53), and a non-finite x gives NaN.
+    first, after x mod 2 where |x| > 2^20 (_reduce, as pointwise model
+    evaluation does), and a non-finite x gives NaN.
     """
     x = np.asarray(x, dtype=float)
     q = np.empty(x.shape)
@@ -102,19 +105,15 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
     t, k, u, w = (np.empty(n) for _ in range(4))
     idx, up = np.empty(n, np.intp), np.empty(n, bool)
     for lo in range(0, flat_x.size, _BLOCK):
-        xb, qb = flat_x[lo : lo + _BLOCK], flat_q[lo : lo + _BLOCK]
+        xb, qb = _reduce(flat_x[lo : lo + _BLOCK]), flat_q[lo : lo + _BLOCK]
         m = xb.size
         tb, kb, ub, wb, ib, hb = t[:m], k[:m], u[:m], w[:m], idx[:m], up[:m]
         np.add(xb, 1.0, out=tb)
         tb *= half_k
         off_domain = not (0.0 <= tb.min() and tb.max() <= k_grid)
-        if off_domain:  # or not finite: computed at t = 0, then set to NaN
-            bad = ~np.isfinite(tb)
+        if off_domain:  # or NaN: computed at t = 0, then set to NaN
+            bad = np.isnan(tb)
             tb[bad] = 0.0
-            # past 2^53 neighbouring cells are not all floats: x is first
-            # reduced by its period, exactly, as _horner does
-            far = np.abs(tb) >= 2.0**53
-            tb[far] = half_k * (np.fmod(xb[far], 2.0) + 1.0)
         np.floor(tb, out=kb)
         if degree % 2 == 0:
             # k0 from the exact fraction t - floor(t), so that rounding in

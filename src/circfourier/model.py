@@ -19,21 +19,19 @@ PDF_FLOOR = 1e-12
 
 _BLOCK = 1 << 14  # points per block of the pointwise evaluations
 
-# e^{i pi x} by table and series (Tang 1989; Cody & Waite 1980): x rounds to
-# m/J, m = rint(J x), and u = T_m (1 + eps) with T_m = e^{i pi m / J} from a
-# table of double-double precision and eps = e^{i d} - 1,
-# d = fl(pi x) - pi m / J.
-_J = 1 << 10
-# Adding 1.5 * 2^42 rounds x to a multiple of 1/J and leaves m in the low
-# mantissa bits.
-_ROUND = 1.5 * 2.0**42
-# pi in three pieces (23, 21 and 53 bits; the sum is within 2^-102 of pi):
-# m/J times each of the first two is exact while |m| <= 2^30.
-_PI_PIECES = tuple(map(float.fromhex, (
-    "0x1.921fb4p+1", "0x1.4442d0p-23", "0x1.8469898cc5170p-47")))
-# Past this |x| the pieces are no longer exact, and x is first reduced by
-# its period 2.
+# Past this |x|, x is first reduced by its period 2, exactly.
 _REDUCE_MAX = 2.0**20
+# Adding this (plus L/2) rounds t = (L/2) x to an integer r and leaves
+# r + L/2 in the low mantissa bits.
+_ROUND = 1.5 * 2.0**52
+# pi in two pieces, the first of 19 bits, so that r times it is exact while
+# |r| < 2^34; their sum is within 2^-75 of pi.
+_PI_HI = float.fromhex("0x1.921fcp+1")
+_PI_LO = -float.fromhex("0x1.5777a5cf72cedp-20")
+# A Taylor table holds at most this many bytes when complex, where it can ...
+_TABLE_BYTES = 1 << 20
+# ... and its truncated terms stay below this share of sum |s_n|.
+_TAYLOR_TOL = 2.0**-60
 
 
 @dataclass
@@ -43,6 +41,11 @@ class EvalCounter:
     A score evaluation is billed as two model evaluations: the density and
     its derivative share one coefficient pass but count separately in the
     cost accounting.
+
+    The Taylor tables behind pointwise evaluation are not billed.  Like
+    the coefficients from `autocorrelate` and `_series`, a table is a
+    change of basis computed from the amplitudes, and no caller receives
+    a value from it except through a billed point.
     """
 
     pdf_evals: int = 0
@@ -66,7 +69,12 @@ class FourierDensity:
     """Density p(x) = 1/2 + sum_{n=1}^N Re{(c_n/c_0) e^{i pi n x}} on [-1, 1).
 
     Immutable after construction; safe to share across threads.  Coefficients
-    with n < 0 are redundant (conjugate symmetry) and not stored.
+    with n < 0 are redundant (conjugate symmetry) and not stored.  The one
+    cache, the Taylor tables of pointwise evaluation (`_table`), is filled
+    lazily on first use and is idempotent: each table is a pure function of
+    the amplitudes, read-only, and stored with one `dict.setdefault`, so
+    threads that race to build one all read the same values.  The grid
+    methods build none.
     """
 
     def __init__(self, amplitudes, scale: float = 1.0, offset: float = 0.0):
@@ -99,6 +107,7 @@ class FourierDensity:
             )
         # ratios[n-1] = c_n / c_0 for n = 1..N
         self._ratios = self.coefficients[1:] / self._c0
+        self._tables: dict[int | None, np.ndarray] = {}  # see _table
 
     @property
     def n_terms(self) -> int:
@@ -110,7 +119,7 @@ class FourierDensity:
         Bills one pdf evaluation per point."""
         vals = np.empty(np.shape(x))
         flat = vals.reshape(-1)
-        for sl, (A,) in _horner([self.amplitudes], x):
+        for sl, A, _ in _taylor(self._table(), x):
             _squared_modulus(A, 2.0 * self._c0, flat[sl])
         if counter is not None:
             counter.pdf_evals += int(vals.size)
@@ -150,28 +159,52 @@ class FourierDensity:
             raise ValueError("grid too small to carry all frequency terms")
         return _grid(self._series(order), K).real.copy()
 
+    def _table(self, order: int | None = None) -> np.ndarray:
+        """The Taylor table (_taylor_table) of the amplitudes, or of
+        _series(order), real part only; built on first use and kept."""
+        rows = self._tables.get(order)
+        if rows is None:
+            series = self.amplitudes if order is None else self._series(order)
+            rows = self._tables.setdefault(
+                order, _taylor_table(series, real=order is not None))
+        return rows
+
     def deriv(self, x, order: int = 1):
         """Analytic derivative of the (unclamped) density at arbitrary x;
-        order -1 gives the term-wise antiderivative of p - 1/2."""
-        vals = np.empty(np.shape(x))
-        for sl, (P,) in _horner([self._series(order)], x):
-            vals.reshape(-1)[sl] = P.real
+        order -1 gives the term-wise antiderivative of p - 1/2.
+
+        Horner's rule on _series(order) at u = np.exp(-1j*np.pi*x) as
+        numpy rounds it, one block at a time: O(N) per point, on no
+        sampler's path.  At that rounded u it agrees to rounding with any
+        series evaluation on the same u.  A Taylor table, exact at the
+        angle fl(pi x), differs from those by about |p''| 2^-53, which near
+        a double zero of p (p' = 0) exceeds 1e-12 (1 + |p'|) at N ~ 200."""
+        x = np.asarray(x, dtype=float)
+        s = self._series(order)
+        vals = np.empty(x.shape)
+        flat, xf = vals.reshape(-1), x.reshape(-1)
+        for lo in range(0, xf.size, _BLOCK):
+            u = np.exp(-1j * np.pi * _reduce(xf[lo : lo + _BLOCK]))
+            flat[lo : lo + _BLOCK] = np.polynomial.polynomial.polyval(u, s).real
         return vals if np.ndim(vals) else float(vals)
 
     def cdf(self, x, counter: EvalCounter | None = None):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
-        Term-wise (F(x) - F(-1)) + (x + 1)/2, with F = deriv(x, order=-1),
-        one block at a time; (x + 1)/2 is formed in the block's spare
-        imaginary part.  Bills one pdf evaluation per point, as pdf does."""
+        Term-wise (F(x) - F(-1)) + (x + 1)/2, with F the series of
+        deriv(x, order=-1) taken from its Taylor table, one block at a time,
+        written into the output; (x + 1)/2 is formed in the block's spare
+        array.  Bills one pdf evaluation per point, as
+        pdf does."""
         x = np.asarray(x, dtype=float)
         vals = np.empty(x.shape)
         flat, xf = vals.reshape(-1), x.reshape(-1)
-        f0 = self.deriv(-1.0, -1)
-        for sl, (F,) in _horner([self._series(-1)], x):
-            np.subtract(F.real, f0, out=flat[sl])
-            np.add(xf[sl], 1.0, out=F.imag)
-            F.imag /= 2.0
-            flat[sl] += F.imag
+        rows = self._table(-1)
+        f0 = rows[0, 0]  # F at the anchor x_0 = -1
+        for sl, F, spare in _taylor(rows, x, out=flat):
+            F -= f0
+            np.add(xf[sl], 1.0, out=spare)
+            spare /= 2.0
+            F += spare
         np.clip(vals, 0.0, 1.0, out=vals)
         if counter is not None:
             counter.pdf_evals += int(vals.size)
@@ -179,16 +212,18 @@ class FourierDensity:
 
     def pdf_and_score(self, x, counter: EvalCounter | None = None):
         """Clamped density and score p'(x)/max(p(x), floor), from one pass
-        for A(w) and wA'(w) = sum_k k a_k w^k: p' = pi Im{conj(A) wA'} / c_0.
-        Bills one score evaluation (two model evaluations) per point."""
+        for A and its slope dA/dd in the angle offset d of _taylor:
+        p' = pi Re{conj(A) dA/dd} / c_0.  Bills one score evaluation (two
+        model evaluations) per point."""
         p, score = np.empty(np.shape(x)), np.empty(np.shape(x))
         p_flat, s_flat = p.reshape(-1), score.reshape(-1)
-        rows = [self.amplitudes, np.arange(self.n_terms + 1) * self.amplitudes]
-        for sl, (A, wdA) in _horner(rows, x):
-            np.conjugate(A, out=A)
-            np.multiply(A, wdA, out=wdA)
-            np.multiply(wdA.imag, np.pi, out=s_flat[sl])
-            s_flat[sl] /= self._c0
+        for sl, A, dA in _taylor(self._table(), x, slope=True):
+            s = s_flat[sl]
+            np.multiply(A.real, dA.real, out=s)
+            np.multiply(A.imag, dA.imag, out=dA.imag)
+            s += dA.imag
+            s *= np.pi
+            s /= self._c0
             _squared_modulus(A, 2.0 * self._c0, p_flat[sl])
         np.maximum(p, PDF_FLOOR, out=p)
         score /= p
@@ -218,97 +253,123 @@ def _squared_modulus(A, scale: float, out) -> None:
     out /= scale
 
 
-def _unit_table():
-    """(T, rho): T[j] = e^{i pi j / J}, j = 0..2J-1, rounded, and rho[j] its
-    relative rounding error, so T (1 + rho) holds the entry to 64 bits.
-    The first quarter is computed in long double; turning it by i, -1 and
-    -i is exact and leaves rho unchanged."""
-    if np.finfo(np.longdouble).nmant < 63:
-        raise ImportError(
-            "circfourier needs an 80-bit np.longdouble to build its "
-            "unit-circle table; this platform's has "
-            f"{np.finfo(np.longdouble).nmant + 1} bits"
-        )
-    pi = 4 * np.arctan(np.longdouble(1))
-    angle = np.arange(_J // 2, dtype=np.longdouble) * (pi / _J)
-    c, s = np.cos(angle), np.sin(angle)
-    quarter, lo = np.empty(_J // 2, complex), np.empty(_J // 2, complex)
-    quarter.real, quarter.imag = c, s
-    lo.real, lo.imag = c - quarter.real, s - quarter.imag
-    table = np.concatenate([quarter * 1j**k for k in range(4)])
-    return table, np.concatenate([lo * quarter.conj()] * 4)
+def _table_shape(n_terms: int) -> tuple[int, int]:
+    """(L, M) of the Taylor tables of a series of degree N: M is the least
+    order whose remainder bound (pi N/L)^{M+1}/(M+1)! is at most
+    _TAYLOR_TOL at an L whose complex table of M+1 rows fits in
+    _TABLE_BYTES, and L the least power of two that reaches it.  The
+    offset d of _taylor is at most pi/L, so the terms dropped after order
+    M sum to at most that bound times sum |s_n|, times
+    1/(1 - pi N/(L (M+2))) for the rest of the tail (under 1.03 for
+    N <= 200).  L is at least pi N (and 2), which keeps |n d| <= 1 for
+    every term; a degree too high for any table within the cap gets that
+    least L."""
+    least = 2
+    while least < math.pi * n_terms:
+        least *= 2
+    order = 0
+    while True:
+        size = least
+        while ((math.pi * n_terms / size) ** (order + 1)
+               / math.factorial(order + 1) > _TAYLOR_TOL):
+            size *= 2
+        if 16 * (order + 1) * size <= _TABLE_BYTES or size == least:
+            return size, order
+        order += 1
 
 
-_UNIT, _UNIT_RHO = _unit_table()
+def _taylor_table(s, real: bool) -> np.ndarray:
+    """rows[m][j] = sum_n s_n (-i n)^m/m! u_j^n, the Taylor coefficients
+    of sum_n s_n u^n at u = e^{-i theta} about the angles pi x_j of the L
+    anchors x_j = -1 + 2j/L; (L, M) from _table_shape.  Each row is one
+    _grid, written in place, or only its real part when `real`.
+    Read-only."""
+    size, order = _table_shape(s.size - 1)
+    rows = np.empty((order + 1, size), float if real else complex)
+    row = np.empty(size, complex) if real else None
+    step = np.arange(s.size) * -1j
+    term = s.astype(complex)
+    for m in range(order + 1):
+        if m:
+            term *= step
+            term /= m
+        if real:
+            rows[m] = _grid(term, size, out=row).real
+        else:
+            _grid(term, size, out=rows[m])
+    rows.setflags(write=False)
+    return rows
 
 
-def _unit_circle(x, u, w, v) -> None:
-    """Write u = e^{-i pi x} for |x| <= 2^20, using w and v, complex
-    arrays of x's size, as work space.
-
-    The angle is fl(-pi x), as np.exp(-1j*np.pi*x) sees it.  Its
-    reduction d = fl(-pi x) - pi m/J is exact but for two roundings near
-    2^-62, and |d| <= pi/(2J) + 2^-31 keeps the series' dropped terms
-    below 2^-64.  Then u = T + T (eps + rho) drops only rho*eps < 2^-63,
-    so each component lies within 2^-53 of the exact value
-    e^{-i fl(pi x)} (most are that value correctly rounded).  NaN or
-    infinite x gives NaN.
-    """
-    a, b = v.view(float).reshape(2, -1)  # real work space
-    c, idx = u.view(float).reshape(2, -1)
-    idx = idx.view(np.int64)
-    np.subtract(_ROUND, x, out=a)
-    np.bitwise_and(a.view(np.int64), 2 * _J - 1, out=idx)  # m mod 2J
-    a -= _ROUND  # m/J, exactly
-    np.multiply(x, -np.pi, out=b)
-    for piece in _PI_PIECES:
-        np.multiply(a, piece, out=c)
-        b -= c  # d
-    np.multiply(b, b, out=a)
-    np.multiply(a, 1.0 / 120.0, out=c)
-    c -= 1.0 / 6.0
-    c *= a
-    c *= b
-    np.add(c, b, out=w.imag)  # sin d
-    np.multiply(a, 1.0 / 24.0, out=c)
-    c -= 0.5
-    np.multiply(c, a, out=w.real)  # cos d - 1
-    np.take(_UNIT_RHO, idx, out=v, mode="clip")
-    w += v
-    np.take(_UNIT, idx, out=v, mode="clip")
-    w *= v
-    np.add(v, w, out=u)  # T + T (eps + rho)
+def _reduce(xb):
+    """xb, or, where some |x| > 2^20 or x is not finite, a copy with those
+    x replaced by fmod(x, 2): exact, and NaN at NaN and +-inf."""
+    if -_REDUCE_MAX <= xb.min() and xb.max() <= _REDUCE_MAX:
+        return xb
+    with np.errstate(invalid="ignore"):  # fmod(+-inf, 2) is NaN
+        return np.where(np.abs(xb) <= _REDUCE_MAX, xb, np.fmod(xb, 2.0))
 
 
-def _horner(rows, x):
-    """Yield (sl, [P_0, ...]) per block of _BLOCK points of x, flattened:
-    P_i = sum_k rows[i][k] u^k at u = e^{-i pi x[sl]}, by Horner's rule
-    with in-place ufuncs.  The work arrays are made once per call and the
-    next block overwrites the yielded ones, so memory is flat in the
-    number of points; a caller may use them as scratch."""
+def _taylor(rows, x, out=None, slope: bool = False):
+    """Yield (sl, P, W) per block of _BLOCK points of x, flattened, with
+    P = sum_m rows[m][j] d^m: the series at each point from the Taylor
+    table `rows` (of _taylor_table) about the anchor x_j = 2r/L (mod 2),
+    r = rint((L/2) x), by Horner's rule in d.  Here d = fl(pi x) - pi x_j:
+    the angle that np.exp(-1j*np.pi*x) sees, fl(pi x), less the anchor's.
+    Once x is reduced (_reduce), r is exact, and with pi in two pieces d
+    errs by under 2^-20 ulp of fl(pi x) beyond its own rounding (while
+    (L/2)|x| < 2^34); |d| <= pi/L + 2^-32.  W is dP/dd when `slope`, else
+    work space that the block no longer needs.  P is written into out[sl]
+    when `out` (flat, of x's size) is given.  The work arrays are made
+    once per call and the next block overwrites the yielded ones, so
+    memory is flat in the number of points; a caller may use them as
+    scratch.  NaN x gives NaN."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    size = min(x.size, _BLOCK)
-    u, v = np.empty(size, complex), np.empty(size, complex)
-    Ps = [np.empty(size, complex) for _ in rows]
+    size, half = min(x.size, _BLOCK), 0.5 * rows.shape[1]
+    shift, pi_hi, pi_lo = _ROUND + half, _PI_HI / half, _PI_LO / half
+    d, idx = np.empty(size), np.empty(size, np.int64)
+    # d again, in a complex table's type with imaginary part 0, so that the
+    # Horner steps multiply without casting
+    dt = np.zeros(size, rows.dtype) if rows.dtype != d.dtype else d
+    G = np.empty(size, rows.dtype)  # the gathered coefficients
+    W = np.empty(size, rows.dtype) if slope else G
+    P = np.empty(size, rows.dtype) if out is None else None
     for lo in range(0, x.size, _BLOCK):
-        xb = x[lo : lo + _BLOCK]
+        sl = slice(lo, lo + _BLOCK)
+        xb = _reduce(x[sl])
         n = xb.size
-        if not (-_REDUCE_MAX <= xb.min() and xb.max() <= _REDUCE_MAX):
-            # off the domain, or not finite: fmod by the period is exact,
-            # and NaN at +-inf, where _unit_circle gives NaN
-            with np.errstate(invalid="ignore"):
-                xb = np.where(np.abs(xb) <= _REDUCE_MAX, xb, np.fmod(xb, 2.0))
-        un, blk = u[:n], [P[:n] for P in Ps]
-        _unit_circle(xb, un, blk[0], v[:n])
-        for P, b in zip(blk, rows):
-            P.fill(b[-1])
-            for c in b[-2::-1]:
-                P *= un
-                P += c
-        yield slice(lo, lo + _BLOCK), blk
+        db, dtb, ib, gb, wb = d[:n], dt[:n], idx[:n], G[:n], W[:n]
+        pb = P[:n] if out is None else out[sl]
+        # r = rint((L/2) x) and the products of r with pi's pieces use G's
+        # and P's memory, which the gathers then overwrite
+        r, prod = gb.view(float)[:n], pb.view(float)[:n]
+        np.multiply(xb, half, out=db)
+        np.add(db, shift, out=ib.view(float))
+        np.subtract(ib.view(float), shift, out=r)
+        np.bitwise_and(ib, rows.shape[1] - 1, out=ib)  # j = (r + L/2) mod L
+        np.multiply(xb, np.pi, out=db)
+        np.multiply(r, pi_hi, out=prod)
+        db -= prod  # exact, as is the product
+        np.multiply(r, pi_lo, out=prod)
+        np.subtract(db, prod, out=dtb.real)
+        # j is in range; mode "clip" writes straight into out, "raise" buffers
+        np.take(rows[-1], ib, out=pb, mode="clip")
+        for k, row in enumerate(rows[-2::-1]):
+            if slope:  # W follows P one step behind: dP/dd
+                if k:
+                    wb *= dtb
+                    wb += pb
+                else:
+                    np.copyto(wb, pb)
+            pb *= dtb
+            np.take(row, ib, out=gb, mode="clip")
+            pb += gb
+        if slope and rows.shape[0] == 1:
+            wb.fill(0.0)
+        yield sl, pb, wb
 
 
-def _grid(s, K: int) -> np.ndarray:
+def _grid(s, K: int, out=None) -> np.ndarray:
     """sum_n s_n u^n at u_k = e^{-i pi x_k}, x_k = -1 + 2k/K: the DFT of
     t_n = (-1)^n s_n zero-padded to K, as u_k^n = (-1)^n w^{nk} with
     w = e^{-2 pi i/K}, pruned to the N+1 taps (Markel 1971).
@@ -320,7 +381,7 @@ def _grid(s, K: int) -> np.ndarray:
     order the result is indexed by k.  The twiddle w^{n k1}, k1 = R h + l
     with R a divisor of P near sqrt(P), is w^{n R h} w^{n l}, from two
     small tables.  A prime K gives Q = K and P = 1 when N >= 1: the plain
-    zero-padded FFT.
+    zero-padded FFT.  Written into `out` (K complex) when given.
     """
     Q = _least_divisor(K, s.size)
     P = K // Q
@@ -330,7 +391,8 @@ def _grid(s, K: int) -> np.ndarray:
     coarse = np.exp(n * np.arange(0, P, R) * (-2j * np.pi / K))
     coarse *= s[:, None] * (-1.0) ** n
     fine = np.exp(n * np.arange(R) * (-2j * np.pi / K))
-    Y = np.zeros((Q, P), complex)
+    Y = (np.empty(K, complex) if out is None else out).reshape(Q, P)
+    Y[s.size :] = 0.0
     np.multiply(coarse[:, :, None], fine[:, None, :],
                 out=Y[: s.size].reshape(s.size, P // R, R))
     return np.fft.fft(Y, axis=0, out=Y).reshape(-1)

@@ -1,17 +1,23 @@
-"""Property tests of the blocked Horner evaluation core in model.py.
+"""Property tests of the evaluation core in model.py: Taylor tables about
+L anchors, built by the grid transform, and Horner's rule in the offset.
 
-The power-recurrence series evaluation that the core replaced is kept here
-as the reference.  Tolerances scale with double precision and with the
-size of the series' terms.
+The power-recurrence series evaluation that an earlier core replaced is
+kept here as the reference.  Tolerances scale with double precision and
+with the size of the series' terms.
 """
+import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from circfourier import (BSplineKernel, FourierDensity, build_ancestor,
-                         compound_pdf, random_density)
-from circfourier.model import PDF_FLOOR
+                         compound_pdf, grid_ancestral_sample, random_density)
+from circfourier.model import (PDF_FLOOR, _TABLE_BYTES, _TAYLOR_TOL,
+                               _table_shape, _taylor, _taylor_table)
 
 
 def series_reference(x, weights, base, real=np.float64):
@@ -138,3 +144,130 @@ def test_compound_pdf_memory_flat_in_points():
             finally:
                 tracemalloc.stop()
             assert peak <= x.nbytes + table + 2**20, (k, degree, peak - x.nbytes)
+
+
+def test_evaluations_nan_at_non_finite_points():
+    # with no warning: the reduction by the period, fmod, is invalid at
+    # +-inf, but NaN is what the evaluations promise there
+    m = random_density(7, 3)
+    x = np.array([0.25, np.nan, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, s = m.pdf_and_score(x)
+        evaluations = [m.pdf(x), p, s, m.score(x), m.cdf(x),
+                       *(m.deriv(x, order) for order in (-1, 1, 2))]
+        scalars = [f(v) for f in (m.pdf, m.score, m.cdf, m.deriv)
+                   for v in (np.nan, np.inf, -np.inf)]
+    for vals in evaluations:
+        assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:]))
+    assert np.all(np.isnan(scalars))
+
+
+def test_far_points_reduced_by_the_period():
+    # beyond |x| = 2^20 the argument is reduced mod 2 first, exactly
+    m = random_density(7, 3)
+    x = np.array([0.25, -0.75, 0.5])
+    far = x + np.array([2.0**40, -(2.0**50), 2.0**21])
+    assert np.array_equal(m.pdf(far), m.pdf(x))
+    assert np.all(np.isfinite(m.pdf(np.array([1e300, -1e300]))))
+
+
+def test_table_shape_meets_the_remainder_bound_and_the_cap():
+    for n in range(201):
+        size, order = _table_shape(n)
+        ratio = np.pi * n / size
+        assert size >= 2 and size & (size - 1) == 0, (n, size)
+        assert size >= np.pi * n, (n, size)
+        assert ratio ** (order + 1) / math.factorial(order + 1) <= _TAYLOR_TOL
+        # the least order that meets the bound at this L
+        assert order == 0 or ratio**order / math.factorial(order) > _TAYLOR_TOL
+        assert 16 * (order + 1) * size <= _TABLE_BYTES, (n, size, order)
+    for n in (0, 7, 200):
+        m = random_density(n, 1)
+        size, order = _table_shape(n)
+        m.pdf(0.5)
+        m.cdf(0.5)
+        assert m._table().shape == m._table(-1).shape == (order + 1, size)
+        assert m._table().nbytes <= _TABLE_BYTES
+        assert m._table(-1).dtype == np.float64
+
+
+def test_pdf_at_anchors_is_the_grid_up_to_the_angle():
+    # At an anchor x_j the offset is only the rounding of the angle,
+    # fl(pi x_j) - pi x_j, so the series is the table's first row, which is
+    # pdf_grid(L)'s transform, to within |p'| times that rounding.  At
+    # x = 0 the angle is exact, and the two agree bit for bit.
+    for n in (0, 1, 20, 50, 200):
+        m = random_density(n, 5)
+        size, _ = _table_shape(n)
+        anchors = -1.0 + 2.0 * np.arange(size) / size
+        grid, p = m.pdf_grid(size), m.pdf(anchors)
+        assert p[size // 2] == grid[size // 2]
+        bound = np.abs(m.deriv(anchors)) * np.abs(anchors) * 2.0**-52
+        assert np.all(np.abs(p - grid) <= bound + 2.0**-50 * (1.0 + grid)), n
+
+
+def test_one_term_series_and_slope_between_anchors():
+    # u^N at the points halfway between anchors, where the offset and so
+    # the dropped Taylor terms are largest, against long double values at
+    # the same angle fl(pi x): the value within 2^-49 and the slope
+    # -i N u^N within 2^-48 N.  With the last table row left out, the
+    # slope is off by 9e-12 at N = 1 and by 2e-13 at N = 20.
+    for n in range(201):
+        size, _ = _table_shape(n)
+        s = np.zeros(n + 1, complex)
+        s[n] = 1.0
+        rows = _taylor_table(s, real=False)
+        x = -1.0 + (2.0 * np.arange(size) + 1.0) / size
+        theta = n * (np.pi * x).astype(np.longdouble)
+        ref = np.cos(theta) - 1j * np.sin(theta)
+        for sl, value, slope in _taylor(rows, x, slope=True):
+            assert np.all(np.abs(value - ref[sl]) <= 2.0**-49), n
+            assert np.all(np.abs(slope + 1j * n * ref[sl]) <= 2.0**-48 * n), n
+
+
+def test_grid_path_builds_no_table():
+    m = random_density(20, 4)
+    grid_ancestral_sample(m, 64, BSplineKernel(1), 1000, 0)
+    m.pdf_grid(64)
+    m.deriv_grid(64)
+    assert m._tables == {}
+    # pointwise calls build each table once, and keep it
+    m.pdf(0.25)
+    table = m._table()
+    m.pdf_and_score(np.array([0.5, -0.5]))
+    assert m._table() is table and set(m._tables) == {None}
+    m.cdf(0.25)
+    m.deriv(0.25, 2)
+    assert set(m._tables) == {None, -1}
+
+
+def test_tables_built_once_under_racing_threads():
+    # threads that race to build a model's tables all evaluate with the one
+    # stored table of each series, and get the values of a lone caller
+    x = np.linspace(-1.0, 1.0, 5001)
+    lone = random_density(30, 8)
+    expected = (lone.pdf(x), lone.cdf(x), lone.pdf_and_score(x)[1])
+    m = random_density(30, 8)
+    results, errors = [None] * 8, []
+
+    def work(i):
+        try:
+            results[i] = (m.pdf(x), m.cdf(x), m.pdf_and_score(x)[1])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    for got in results:
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert set(m._tables) == {None, -1}

@@ -112,6 +112,17 @@ class TestKernelPdf:
         assert k.pdf(-half - 1e-9) == 0.0
 
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_zero_far_outside_the_support(self, degree):
+        # no piece is evaluated at a |u| so large that it overflows
+        k = BSplineKernel(degree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = k.pdf(np.array([1e300, -1e300, np.finfo(float).max]))
+            scalars = [k.pdf(1e300), k.pdf(-1e300)]
+        assert np.array_equal(vals, np.zeros(3)) and scalars == [0.0, 0.0]
+
+
 class TestKernelSampling:
     def test_box_support(self):
         draws = BSplineKernel(0).sample(10**5, 1)
@@ -230,8 +241,8 @@ class TestCompoundPdf:
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_far_points_reduced_by_the_period(self, degree):
-        # past |t| = 2^53 the cells next to x are not all floats, so x is
-        # reduced mod 2 first, exactly, and q keeps its period there
+        # past |x| = 2^20 x is reduced mod 2 first, exactly, as pointwise
+        # model evaluation does, and q keeps its period there
         pmf = build_ancestor(random_density(5, 1), 2048)
         kernel = BSplineKernel(degree)
         x = np.array([1e13, -1e13 + 0.5, 2.0**60, 1e300, -1e300])
@@ -239,6 +250,20 @@ class TestCompoundPdf:
             warnings.simplefilter("error")
             q = compound_pdf(pmf, kernel, x)
         assert np.array_equal(q, compound_pdf(pmf, kernel, np.fmod(x, 2.0)))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_huge_points_reduced_before_scaling(self, degree):
+        # (K/2)(x + 1) would overflow; x is reduced by its period first
+        pmf = build_ancestor(random_density(5, 1), 2048)
+        kernel = BSplineKernel(degree)
+        x = np.array([1.7e308, -1.7e308, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = compound_pdf(pmf, kernel, x)
+            scalar = compound_pdf(pmf, kernel, 1.7e308)
+        expected = compound_pdf(pmf, kernel, np.fmod(x, 2.0))
+        assert np.all(np.isfinite(q)) and np.array_equal(q, expected)
+        assert scalar == expected[0]
 
     def test_wraps_at_boundary(self):
         # mass from the cell at k=0 must appear just below x=1
