@@ -128,11 +128,7 @@ class FourierDensity:
     def _series(self, order: int) -> np.ndarray:
         """s_n = conj((c_n/c_0) (i pi n)^order), s_0 = 0: the order-th
         derivative of p (order -1: the term-wise antiderivative of p - 1/2)
-        is Re sum_n s_n u^n at u = e^{-i pi x}.  Order 0 would drop the
-        constant 1/2, so only -1 and the integers from 1 up are defined."""
-        if not isinstance(order, (int, np.integer)) or order == 0 or order < -1:
-            raise ValueError(
-                f"derivative order must be -1 or an integer >= 1, got {order!r}")
+        is Re sum_n s_n u^n at u = e^{-i pi x}."""
         n = np.arange(1, self.n_terms + 1)
         return np.conj(np.concatenate(
             ([0.0], self._ratios * (1j * np.pi * n) ** order)))
@@ -152,13 +148,6 @@ class FourierDensity:
             counter.pdf_evals += K
         return vals
 
-    def deriv_grid(self, K: int, order: int = 1) -> np.ndarray:
-        """Analytic derivative of given order at the K grid points."""
-        K = operator.index(K)
-        if K < self.n_terms + 1:
-            raise ValueError("grid too small to carry all frequency terms")
-        return _grid(self._series(order), K).real.copy()
-
     def _table(self, order: int | None = None) -> np.ndarray:
         """The Taylor table (_taylor_table) of the amplitudes, or of
         _series(order), real part only; built on first use and kept."""
@@ -171,21 +160,18 @@ class FourierDensity:
 
     def deriv(self, x, order: int = 1):
         """Analytic derivative of the (unclamped) density at arbitrary x;
-        order -1 gives the term-wise antiderivative of p - 1/2.
-
-        Horner's rule on _series(order) at u = np.exp(-1j*np.pi*x) as
-        numpy rounds it, one block at a time: O(N) per point, on no
-        sampler's path.  At that rounded u it agrees to rounding with any
-        series evaluation on the same u.  A Taylor table, exact at the
-        angle fl(pi x), differs from those by about |p''| 2^-53, which near
-        a double zero of p (p' = 0) exceeds 1e-12 (1 + |p'|) at N ~ 200."""
-        x = np.asarray(x, dtype=float)
-        s = self._series(order)
-        vals = np.empty(x.shape)
-        flat, xf = vals.reshape(-1), x.reshape(-1)
-        for lo in range(0, xf.size, _BLOCK):
-            u = np.exp(-1j * np.pi * _reduce(xf[lo : lo + _BLOCK]))
-            flat[lo : lo + _BLOCK] = np.polynomial.polynomial.polyval(u, s).real
+        order -1 gives the term-wise antiderivative of p - 1/2.  Order 0
+        would drop the constant 1/2, so only -1 and the integers from 1 up
+        are defined.  From the Taylor table of _series(order), real part
+        only, one block at a time, as cdf: O(M) per point, with one table
+        per order."""
+        # checked before the table lookup, where the key 1.0 finds order 1
+        if not isinstance(order, (int, np.integer)) or order == 0 or order < -1:
+            raise ValueError(
+                f"derivative order must be -1 or an integer >= 1, got {order!r}")
+        vals = np.empty(np.shape(x))
+        for _ in _taylor(self._table(int(order)), x, out=vals.reshape(-1)):
+            pass
         return vals if np.ndim(vals) else float(vals)
 
     def cdf(self, x, counter: EvalCounter | None = None):

@@ -46,7 +46,7 @@ class TestBuildAncestor:
         # int(50.5) would build a 50-cell PMF that sums to 0.99 and place
         # the samples on a 50.5 spacing
         m = random_density(4, 1)
-        for build in (lambda: build_ancestor(m, k), lambda: m.deriv_grid(k),
+        for build in (lambda: build_ancestor(m, k),
                       lambda: grid_ancestral_sample(m, k, BSplineKernel(1),
                                                     10, 0)):
             with pytest.raises(TypeError):
@@ -57,7 +57,6 @@ class TestBuildAncestor:
         k = np.int64(64)
         assert np.array_equal(build_ancestor(m, k).probs,
                               build_ancestor(m, 64).probs)
-        assert np.array_equal(m.deriv_grid(k), m.deriv_grid(64))
 
     def test_grid_geometry(self):
         pmf = build_ancestor(FourierDensity([1.0]), 4)

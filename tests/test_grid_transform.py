@@ -1,5 +1,6 @@
-"""The pruned grid transform behind pdf_grid and deriv_grid, held to the
-plain zero-padded FFT of (-1)^n s_n that it replaced."""
+"""The pruned grid transform behind pdf_grid and the Taylor tables, held
+through pdf_grid to the plain zero-padded FFT of (-1)^n a_n that it
+replaced."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -11,16 +12,6 @@ MAX_K = 2**17
 def reference_grid(s, K):
     """sum_n s_n u^n on the K grid points, by the full zero-padded FFT."""
     return np.fft.fft(s * (-1.0) ** np.arange(s.size), K)
-
-
-def series(model, order):
-    """s_n = conj((c_n/c_0) (i pi n)^order), s_0 = 0: p's order-th
-    derivative (order -1: antiderivative of p - 1/2) is Re sum s_n u^n."""
-    c = np.asarray(model.coefficients)
-    n = np.arange(c.size)
-    s = np.zeros(c.size, complex)
-    s[1:] = np.conj(c[1:] / c[0].real * (1j * np.pi * n[1:]) ** order)
-    return s
 
 
 def _primes(limit):
@@ -55,32 +46,20 @@ def check_pdf_grid(model, K):
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-def check_deriv_grid(model, K):
-    for order in (-1, 1, 2):
-        s = series(model, order)
-        got = model.deriv_grid(K, order)
-        assert got.shape == (K,)
-        err = np.max(np.abs(got - reference_grid(s, K).real))
-        assert err <= 1e-13 * np.sum(np.abs(s)), (order, err)
-
-
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(0, 200), kind=st.sampled_from(["2N+1", "N+1", *_KINDS]),
+@given(n=st.integers(0, 200), kind=st.sampled_from(["2N+1", *_KINDS]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_matches_zero_padded_fft(n, kind, seed, data):
     model = random_density(n, seed)
-    if kind in ("2N+1", "N+1"):
-        K = 2 * n + 1 if kind == "2N+1" else n + 1
+    if kind == "2N+1":
+        K = 2 * n + 1
     else:
         K = data.draw(st.sampled_from(
             [k for k in _KINDS[kind] if k >= 2 * n + 1]))
-    if K >= 2 * n + 1:  # pdf_grid's own guard; deriv_grid needs K >= N+1
-        check_pdf_grid(model, K)
-    check_deriv_grid(model, K)
+    check_pdf_grid(model, K)
 
 
 def test_fine_grid_matches_zero_padded_fft():
     # the sample-fine grid: N = 200, K = 2^21 = 256 * 8192
     model = random_density(200, 7)
     check_pdf_grid(model, 2**21)
-    check_deriv_grid(model, 2**21)

@@ -244,14 +244,17 @@ class TestDerivatives:
         fd = (m.pdf(xs + h) - m.pdf(xs - h)) / (2 * h)
         assert np.allclose(m.deriv(xs), fd, atol=1e-4)
 
-    @pytest.mark.parametrize("order", [0, -2, 1.5, 1.0, "1"])
+    @pytest.mark.parametrize("order", [0, -2, 1.5, 1.0, "1", None])
     def test_undefined_order_rejected(self, order):
-        # order 0 would give p - 1/2, and a fractional order means nothing
+        # order 0 would give p - 1/2, and a fractional order means nothing;
+        # None keys the amplitudes' table, and 1.0 finds order 1's once
+        # it is built, so the order is checked before the table lookup
         m = random_density(5, 3)
-        for evaluate in (lambda: m.deriv(0.25, order),
-                         lambda: m.deriv_grid(16, order)):
-            with pytest.raises(ValueError, match="derivative order"):
-                evaluate()
+        with pytest.raises(ValueError, match="derivative order"):
+            m.deriv(0.25, order)
+        m.deriv(0.25, 1)
+        with pytest.raises(ValueError, match="derivative order"):
+            m.deriv(0.25, order)
 
     def test_numpy_integer_order_accepted(self):
         m = random_density(5, 3)
