@@ -8,6 +8,7 @@ is the kernel-smoothed mixture q(x), with copies wrapped around the circle.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class BSplineKernel:
     degree: int
 
     def __post_init__(self):
+        # TypeError unless an integer, as the draws need; 1.0 would pass
+        # the membership test below
+        operator.index(self.degree)
         if self.degree not in SUPPORTED_DEGREES:
             raise ValueError(
                 f"unsupported kernel degree {self.degree}; "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SampleBatch, begin_draw
-from .model import EvalCounter, FourierDensity
+from .model import EvalCounter, FourierDensity, _check_grid_size
 
 KL_FLOOR = 1e-12
 _TV_REFINE_TOL = 1e-8
@@ -102,16 +102,16 @@ def inverse_transform_sample(
         # no bisection step would be taken: every sample the midpoint 0
         raise ValueError("tol must be below 2, the width of the domain")
     target = rng.random(size)
-    lo = np.full(size, -1.0)
-    hi = np.full(size, 1.0)
+    # x is the midpoint of a bracket of half-width 2 * step, which each
+    # iteration halves, keeping the half that holds the target
+    x, step = np.zeros(size), 0.5
     # log2(2/tol) as 1 - log2(tol): 2/tol overflows for subnormal tol
     for _ in range(math.ceil(1.0 - math.log2(tol))):
-        mid = 0.5 * (lo + hi)
-        below = model.cdf(mid, counter) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        below = model.cdf(x, counter) < target
+        x += np.where(below, step, -step)
+        step *= 0.5
     return SampleBatch(
-        samples=0.5 * (lo + hi),
+        samples=x,
         seed=seed,
         counter=counter,
         meta={"tol": tol},
@@ -154,11 +154,11 @@ def w1_quadrature(p_eval, q_eval) -> DivergenceReport:
 
 
 def tv_bound(n_terms: int, K: int) -> float:
-    """Guaranteed TV(p, q) bound for the triangle-kernel grid approximation."""
+    """Guaranteed TV(p, q) bound for the triangle-kernel grid approximation,
+    for an integer K >= 2N+1, the grid pdf_grid builds."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    if K < 2 * n_terms + 1:
-        raise ValueError(f"K={K} below minimum 2N+1={2 * n_terms + 1}")
+    K = _check_grid_size(n_terms, K)
     n = n_terms
     return math.pi**2 * n * (n + 1) * (2 * n + 1) / (12.0 * K * K)
 

@@ -43,9 +43,9 @@ class EvalCounter:
     cost accounting.
 
     The Taylor tables behind pointwise evaluation are not billed.  Like
-    the coefficients from `autocorrelate` and `_series`, a table is a
-    change of basis computed from the amplitudes, and no caller receives
-    a value from it except through a billed point.
+    the coefficients from `autocorrelate`, a table is a change of basis
+    computed from the amplitudes, and no caller receives a value from it
+    except through a billed point.
     """
 
     pdf_evals: int = 0
@@ -70,11 +70,11 @@ class FourierDensity:
 
     Immutable after construction; safe to share across threads.  Coefficients
     with n < 0 are redundant (conjugate symmetry) and not stored.  The one
-    cache, the Taylor tables of pointwise evaluation (`_table`), is filled
-    lazily on first use and is idempotent: each table is a pure function of
-    the amplitudes, read-only, and stored with one `dict.setdefault`, so
-    threads that race to build one all read the same values.  The grid
-    methods build none.
+    cache, the two Taylor tables of pointwise evaluation (`_table`), is
+    filled lazily on first use and is idempotent: each table is a pure
+    function of the amplitudes, read-only, and stored with one
+    `dict.setdefault`, so threads that race to build one all read the same
+    values.  The grid methods build none.
     """
 
     def __init__(self, amplitudes, scale: float = 1.0, offset: float = 0.0):
@@ -107,7 +107,7 @@ class FourierDensity:
             )
         # ratios[n-1] = c_n / c_0 for n = 1..N
         self._ratios = self.coefficients[1:] / self._c0
-        self._tables: dict[int | None, np.ndarray] = {}  # see _table
+        self._tables: dict[bool, np.ndarray] = {}  # see _table
 
     @property
     def n_terms(self) -> int:
@@ -125,66 +125,43 @@ class FourierDensity:
             counter.pdf_evals += int(vals.size)
         return vals if np.ndim(vals) else float(vals)
 
-    def _series(self, order: int) -> np.ndarray:
-        """s_n = conj((c_n/c_0) (i pi n)^order), s_0 = 0: the order-th
-        derivative of p (order -1: the term-wise antiderivative of p - 1/2)
-        is Re sum_n s_n u^n at u = e^{-i pi x}."""
-        n = np.arange(1, self.n_terms + 1)
-        return np.conj(np.concatenate(
-            ([0.0], self._ratios * (1j * np.pi * n) ** order)))
-
     def pdf_grid(self, K: int, counter: EvalCounter | None = None) -> np.ndarray:
         """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, from
         A = _grid(a, K), a pruned FFT; |A|^2 in one real buffer.  Unclamped:
         the values are non-negative by construction and never logged."""
-        K = operator.index(K)
-        if K < 2 * self.n_terms + 1:
-            raise ValueError(
-                f"grid size K={K} below minimum 2N+1={2 * self.n_terms + 1}"
-            )
+        K = _check_grid_size(self.n_terms, K)
         vals = np.empty(K)
         _squared_modulus(_grid(self.amplitudes, K), 2.0 * self._c0, vals)
         if counter is not None:
             counter.pdf_evals += K
         return vals
 
-    def _table(self, order: int | None = None) -> np.ndarray:
-        """The Taylor table (_taylor_table) of the amplitudes, or of
-        _series(order), real part only; built on first use and kept."""
-        rows = self._tables.get(order)
+    def _table(self, cdf: bool = False) -> np.ndarray:
+        """The Taylor table (_taylor_table) of the amplitudes, or, for
+        `cdf`, the real part of that of s_n = conj((c_n/c_0) / (i pi n)),
+        s_0 = 0, whose Re sum_n s_n u^n at u = e^{-i pi x} is the term-wise
+        antiderivative of p - 1/2; built on first use and kept."""
+        rows = self._tables.get(cdf)
         if rows is None:
-            series = self.amplitudes if order is None else self._series(order)
-            rows = self._tables.setdefault(
-                order, _taylor_table(series, real=order is not None))
+            series = self.amplitudes
+            if cdf:
+                n = np.arange(1, self.n_terms + 1)
+                series = np.conj(np.concatenate(
+                    ([0.0], self._ratios * (1j * np.pi * n) ** -1)))
+            rows = self._tables.setdefault(cdf, _taylor_table(series, real=cdf))
         return rows
-
-    def deriv(self, x, order: int = 1):
-        """Analytic derivative of the (unclamped) density at arbitrary x;
-        order -1 gives the term-wise antiderivative of p - 1/2.  Order 0
-        would drop the constant 1/2, so only -1 and the integers from 1 up
-        are defined.  From the Taylor table of _series(order), real part
-        only, one block at a time, as cdf: O(M) per point, with one table
-        per order."""
-        # checked before the table lookup, where the key 1.0 finds order 1
-        if not isinstance(order, (int, np.integer)) or order == 0 or order < -1:
-            raise ValueError(
-                f"derivative order must be -1 or an integer >= 1, got {order!r}")
-        vals = np.empty(np.shape(x))
-        for _ in _taylor(self._table(int(order)), x, out=vals.reshape(-1)):
-            pass
-        return vals if np.ndim(vals) else float(vals)
 
     def cdf(self, x, counter: EvalCounter | None = None):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
-        Term-wise (F(x) - F(-1)) + (x + 1)/2, with F the series of
-        deriv(x, order=-1) taken from its Taylor table, one block at a time,
-        written into the output; (x + 1)/2 is formed in the block's spare
-        array.  Bills one pdf evaluation per point, as
-        pdf does."""
+        Term-wise (F(x) - F(-1)) + (x + 1)/2, with F the antiderivative
+        series of _table(cdf=True), one block at a time, summed by Horner's
+        rule in the output itself, so that a call needs only the table and
+        three work blocks beyond it; (x + 1)/2 is formed in the block's
+        spare array.  Bills one pdf evaluation per point, as pdf does."""
         x = np.asarray(x, dtype=float)
         vals = np.empty(x.shape)
         flat, xf = vals.reshape(-1), x.reshape(-1)
-        rows = self._table(-1)
+        rows = self._table(cdf=True)
         f0 = rows[0, 0]  # F at the anchor x_0 = -1
         for sl, F, spare in _taylor(rows, x, out=flat):
             F -= f0
@@ -229,6 +206,16 @@ class FourierDensity:
     def to_real_line(self, x):
         """Map a circle coordinate in (-1, 1) to the real line."""
         return to_real_line(x, self.scale, self.offset)
+
+
+def _check_grid_size(n_terms: int, K) -> int:
+    """K as an int: a grid of a degree-N density needs an integer K >= 2N+1
+    (TypeError if K is not an integer, ValueError if it is too small)."""
+    K = operator.index(K)
+    if K < 2 * n_terms + 1:
+        raise ValueError(
+            f"grid size K={K} below minimum 2N+1={2 * n_terms + 1}")
+    return K
 
 
 def _squared_modulus(A, scale: float, out) -> None:

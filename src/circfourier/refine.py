@@ -10,6 +10,7 @@ sizes used here (eps <= 1e-3 on a period-2 circle).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,7 @@ class LangevinConfig:
             raise ValueError("step_size must be in (0, 1]")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        operator.index(self.steps)  # TypeError unless an integer
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
 

@@ -134,7 +134,8 @@ def test_criterion_05_positivity_and_bounds(capsys):
         c = m.coefficients
         ok = ok and np.all(np.abs(c[1:]) <= np.abs(c[0]) * (1 + 1e-12))
         b1 = np.pi * n * (n + 1) / 2
-        p1 = m.deriv(-1 + 2 * np.arange(k) / k)
+        p, s = m.pdf_and_score(-1 + 2 * np.arange(k) / k)
+        p1 = s * p
         ok = ok and np.max(np.abs(p1)) <= b1 * (1 + 1e-12)
         if not ok:
             break

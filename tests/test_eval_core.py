@@ -2,9 +2,9 @@
 L anchors, built by the grid transform, and Horner's rule in the offset.
 
 The density and the CDF are held to the power-recurrence series
-evaluation that an earlier core replaced.  The score and the derivatives
-are held to the amplitude form in long double at the same angle fl(pi x),
-which stays accurate where p is small.  Tolerances scale with double
+evaluation that an earlier core replaced.  The score is held to the
+amplitude form in long double at the same angle fl(pi x), which stays
+accurate where p is small.  Tolerances scale with double
 precision and with the size of the series' terms.
 """
 import math
@@ -35,25 +35,22 @@ def series_reference(x, weights, base):
 
 
 def amplitude_reference(m, x):
-    """(p, p', p'') at the angle fl(pi x), in long double, from the
-    amplitudes: with A = sum_k a_k u^k at u = e^{-i theta} and A', A'' its
-    theta-derivatives, p = |A|^2/(2 c_0), p' = pi Re{conj(A) A'}/c_0 and
-    p'' = pi^2 (|A'|^2 + Re{conj(A) A''})/c_0.  Near a small p this form
-    does not cancel terms that add up to sum |c_n|/c_0, as the power
+    """(p, p') at the angle fl(pi x), in long double, from the amplitudes:
+    with A = sum_k a_k u^k at u = e^{-i theta} and A' its theta-derivative,
+    p = |A|^2/(2 c_0) and p' = pi Re{conj(A) A'}/c_0.  Near a small p this
+    form does not cancel terms that add up to sum |c_n|/c_0, as the power
     recurrence on the c_n does."""
     theta = (np.pi * np.asarray(x, dtype=float)).astype(np.longdouble)
     u = np.cos(theta) - 1j * np.sin(theta)
     a = m.amplitudes.astype(np.clongdouble)
-    A, dA, d2A = (np.zeros(u.shape, np.clongdouble) for _ in range(3))
+    A, dA = (np.zeros(u.shape, np.clongdouble) for _ in range(2))
     for k in range(a.size - 1, -1, -1):  # Horner's rule in u
         A = A * u + a[k]
         dA = dA * u + a[k] * (-1j * np.longdouble(k))
-        d2A = d2A * u - a[k] * np.longdouble(k) ** 2
     c0 = np.sum(a.real**2 + a.imag**2)
     p = (A.real**2 + A.imag**2) / (2 * c0)
     dp = np.pi * np.real(np.conj(A) * dA) / c0
-    d2p = np.pi**2 * (dA.real**2 + dA.imag**2 + np.real(np.conj(A) * d2A)) / c0
-    return p, dp, d2p
+    return p, dp
 
 
 def model_case(n, seed, x0=None, points=(0.0,), pull=0.0):
@@ -102,7 +99,7 @@ def test_pdf_agrees_with_power_recurrence(case):
 @example(model_case(184, 184, x0=-1.0))
 def test_score_agrees_with_power_recurrence(case):
     m, x = case
-    p_ref, dp_ref, _ = (v.astype(float) for v in amplitude_reference(m, x))
+    p_ref, dp_ref = (v.astype(float) for v in amplitude_reference(m, x))
     s_ref = dp_ref / np.maximum(p_ref, PDF_FLOOR)
     p, s = m.pdf_and_score(x)
     keep = p_ref >= 1e-6
@@ -113,9 +110,6 @@ def test_score_agrees_with_power_recurrence(case):
 
 @settings(max_examples=150, deadline=None)
 @given(models())
-# p' = 0.0586 at x = -0.14598, where a float64 power recurrence on the
-# c_n misses p' by 2.2e-12, twice the tolerance (deriv: 7.9e-15)
-@example(model_case(199, 6394570))
 def test_cdf_and_deriv_agree_with_power_recurrence(case):
     m, x = case
     n = np.arange(1, m.n_terms + 1)
@@ -124,14 +118,6 @@ def test_cdf_and_deriv_agree_with_power_recurrence(case):
     ref = np.clip((x + 1.0) / 2.0 + series_reference(x, weights, 0.0) - const,
                   0.0, 1.0)
     assert np.all(np.abs(m.cdf(x) - ref) <= 1e-12 * (1 + np.abs(ref)))
-    _, dp_ref, d2p_ref = (v.astype(float) for v in amplitude_reference(m, x))
-    assert np.all(np.abs(m.deriv(x) - dp_ref) <= 1e-12 * (1 + np.abs(dp_ref)))
-    # Terms of p'' reach (pi N)^2 |c_n / c_0|: the evaluation carries
-    # rounding error proportional to sum_n |b_n|, not to |p''(x)|, so the
-    # scale here is that sum.
-    b2 = m._ratios * (1j * np.pi * n) ** 2
-    scale = 1 + np.sum(np.abs(b2))
-    assert np.all(np.abs(m.deriv(x, order=2) - d2p_ref) <= 1e-12 * scale)
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,7 +134,7 @@ def test_evaluation_memory_flat_in_points():
     """Traced peak of one call stays within its outputs plus a few blocks."""
     m = random_density(50, 0)
     x = np.random.default_rng(1).uniform(-1.0, 1.0, 2**20)
-    for name in ("pdf", "pdf_and_score", "cdf", "deriv"):
+    for name in ("pdf", "pdf_and_score", "cdf"):
         tracemalloc.start()
         try:
             getattr(m, name)(x)
@@ -188,9 +174,8 @@ def test_evaluations_nan_at_non_finite_points():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p, s = m.pdf_and_score(x)
-        evaluations = [m.pdf(x), p, s, m.score(x), m.cdf(x),
-                       *(m.deriv(x, order) for order in (-1, 1, 2))]
-        scalars = [f(v) for f in (m.pdf, m.score, m.cdf, m.deriv)
+        evaluations = [m.pdf(x), p, s, m.score(x), m.cdf(x)]
+        scalars = [f(v) for f in (m.pdf, m.score, m.cdf)
                    for v in (np.nan, np.inf, -np.inf)]
     for vals in evaluations:
         assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:]))
@@ -221,23 +206,25 @@ def test_table_shape_meets_the_remainder_bound_and_the_cap():
         size, order = _table_shape(n)
         m.pdf(0.5)
         m.cdf(0.5)
-        assert m._table().shape == m._table(-1).shape == (order + 1, size)
+        assert m._table().shape == m._table(cdf=True).shape == (order + 1, size)
         assert m._table().nbytes <= _TABLE_BYTES
-        assert m._table(-1).dtype == np.float64
+        assert m._table(cdf=True).dtype == np.float64
 
 
 def test_pdf_at_anchors_is_the_grid_up_to_the_angle():
     # At an anchor x_j the offset is only the rounding of the angle,
     # fl(pi x_j) - pi x_j, so the series is the table's first row, which is
-    # pdf_grid(L)'s transform, to within |p'| times that rounding.  At
-    # x = 0 the angle is exact, and the two agree bit for bit.
+    # pdf_grid(L)'s transform, to within |p'| times that rounding, with
+    # p' = s p from pdf_and_score.  At x = 0 the angle is exact, and the
+    # two agree bit for bit.
     for n in (0, 1, 20, 50, 200):
         m = random_density(n, 5)
         size, _ = _table_shape(n)
         anchors = -1.0 + 2.0 * np.arange(size) / size
         grid, p = m.pdf_grid(size), m.pdf(anchors)
         assert p[size // 2] == grid[size // 2]
-        bound = np.abs(m.deriv(anchors)) * np.abs(anchors) * 2.0**-52
+        clamped, s = m.pdf_and_score(anchors)
+        bound = np.abs(s * clamped) * np.abs(anchors) * 2.0**-52
         assert np.all(np.abs(p - grid) <= bound + 2.0**-50 * (1.0 + grid)), n
 
 
@@ -269,13 +256,14 @@ def test_grid_path_builds_no_table():
     m.pdf(0.25)
     table = m._table()
     m.pdf_and_score(np.array([0.5, -0.5]))
-    assert m._table() is table and set(m._tables) == {None}
+    assert m._table() is table and len(m._tables) == 1
     m.cdf(0.25)
-    assert set(m._tables) == {None, -1}
-    # and each derivative order has its own
-    m.deriv(0.25, 2)
-    m.deriv(np.array([0.5, -0.5]), 2)
-    assert set(m._tables) == {None, -1, 2}
+    cdf_table = m._table(cdf=True)
+    m.cdf(np.array([0.5, -0.5]))
+    # the amplitudes' complex table and the antiderivative's real one
+    assert len(m._tables) == 2
+    assert m._table() is table and m._table(cdf=True) is cdf_table
+    assert table.dtype == complex and cdf_table.dtype == float
 
 
 def test_tables_built_once_under_racing_threads():
@@ -306,4 +294,4 @@ def test_tables_built_once_under_racing_threads():
     assert not any(t.is_alive() for t in threads) and errors == []
     for got in results:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-    assert set(m._tables) == {None, -1}
+    assert len(m._tables) == 2

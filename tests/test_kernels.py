@@ -64,6 +64,13 @@ class TestKernelPdf:
         with pytest.raises(ValueError):
             BSplineKernel(-1)
 
+    def test_degree_must_be_an_integer(self):
+        # 1.0 == 1, but the draws cannot index by a float
+        with pytest.raises(TypeError):
+            BSplineKernel(1.0)
+        kernel = BSplineKernel(np.int64(1))
+        assert np.array_equal(kernel.sample(100, 3), BSplineKernel(1).sample(100, 3))
+
     def test_box(self):
         k = BSplineKernel(0)
         assert k.pdf(0.0) == 1.0

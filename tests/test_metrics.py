@@ -220,6 +220,20 @@ class TestBounds:
         with pytest.raises(ValueError):
             tv_bound(10, 20)
 
+    @pytest.mark.parametrize("k, error", [(3.5, TypeError), (3.0, TypeError),
+                                          (2, ValueError)])
+    def test_k_rule_shared_with_pdf_grid(self, k, error):
+        # at N = 1, K must be an integer >= 2N+1 = 3 for the bound as for
+        # the grid it bounds, with the same message
+        messages = []
+        for check in (lambda: tv_bound(1, k),
+                      lambda: random_density(1, 0).pdf_grid(k)):
+            with pytest.raises(error) as info:
+                check()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert tv_bound(1, np.int64(3)) == tv_bound(1, 3)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_bound_compliance_random_models(self, seed):
         rng = np.random.default_rng(seed)

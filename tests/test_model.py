@@ -236,31 +236,6 @@ class TestScore:
         assert c.total_evals == 20
 
 
-class TestDerivatives:
-    def test_deriv_matches_pdf_finite_difference(self):
-        m = random_density(7, 12)
-        xs = np.linspace(-0.9, 0.9, 50)
-        h = 1e-6
-        fd = (m.pdf(xs + h) - m.pdf(xs - h)) / (2 * h)
-        assert np.allclose(m.deriv(xs), fd, atol=1e-4)
-
-    @pytest.mark.parametrize("order", [0, -2, 1.5, 1.0, "1", None])
-    def test_undefined_order_rejected(self, order):
-        # order 0 would give p - 1/2, and a fractional order means nothing;
-        # None keys the amplitudes' table, and 1.0 finds order 1's once
-        # it is built, so the order is checked before the table lookup
-        m = random_density(5, 3)
-        with pytest.raises(ValueError, match="derivative order"):
-            m.deriv(0.25, order)
-        m.deriv(0.25, 1)
-        with pytest.raises(ValueError, match="derivative order"):
-            m.deriv(0.25, order)
-
-    def test_numpy_integer_order_accepted(self):
-        m = random_density(5, 3)
-        assert m.deriv(0.25, np.int64(2)) == m.deriv(0.25, 2)
-
-
 class TestRealLineTransform:
     def test_identity_at_origin(self):
         assert to_real_line(0.0, 1.0, 0.0) == 0.0

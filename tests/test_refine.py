@@ -114,6 +114,18 @@ class TestLangevinConfig:
         with pytest.raises(ValueError):
             LangevinConfig(steps=-1)
 
+    @pytest.mark.parametrize("refine", [ula_refine, mala_refine])
+    def test_steps_must_be_an_integer(self, refine):
+        # 2.0 would pass the sign check, and the chain cannot count by it
+        with pytest.raises(TypeError):
+            LangevinConfig(steps=2.0)
+        m = random_density(5, 0)
+        base = grid_ancestral_sample(m, 20, BSplineKernel(1), 100, 1)
+        out = refine(m, base, LangevinConfig(steps=np.int64(2)), 2)
+        assert np.array_equal(out.samples,
+                              refine(m, base, LangevinConfig(steps=2), 2).samples)
+        assert out.meta["T"] == 2
+
 
 def former_ula_refine(model, batch, cfg, rng, counter):
     """ula_refine's step loop before it reused its buffers: the reference."""
