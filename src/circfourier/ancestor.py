@@ -86,11 +86,14 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
     that find an i* (P_H(j) <= P_L(last)) are each a prefix of their list,
     whose length one binary search gives.  The table is built in the
     buffer of the scaled weights, with int32 index lists while K < 2^31.
+    Raises ValueError unless the weights have a finite, positive sum.
     """
     probs = np.asarray(pmf.probs, dtype=float)
-    k = probs.size
+    k, total = probs.size, probs.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise ValueError(f"PMF sums to {total}: cannot normalize")
     # Lights keep their scaled weight, so prob starts as the scaled weights.
-    prob = probs * (k / probs.sum())
+    prob = probs * (k / total)
     is_light = prob < 1.0
     index = np.int32 if k < 2**31 else np.int64
     lights = np.flatnonzero(is_light).astype(index)

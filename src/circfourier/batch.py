@@ -1,6 +1,7 @@
 """Sample batches: circle-valued draws plus the seed and ledger behind them."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +75,12 @@ class SampleBatch:
 def begin_draw(size: int, rng, counter: EvalCounter | None = None):
     """The start of every draw of `size` samples: (seed, generator, ledger).
 
-    Raises ValueError when size < 1.  The seed is rng as a Python int when
-    rng is an integer, else None; the generator is default_rng(rng); the
-    ledger is `counter`, or a fresh EvalCounter when none is passed.
+    Raises TypeError or ValueError unless size is an integer >= 1, before
+    anything is drawn.  The seed is rng as a Python int when rng is an
+    integer, else None; the generator is default_rng(rng); the ledger is
+    `counter`, or a fresh EvalCounter when none is passed.
     """
-    if size < 1:
+    if operator.index(size) < 1:
         raise ValueError("size must be >= 1")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     ledger = EvalCounter() if counter is None else counter

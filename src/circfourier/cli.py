@@ -191,13 +191,12 @@ def run_convergence(
 
     Every trial uses the model file's density if one is named, else a
     random density of cfg.n terms; only the reference sample differs.
-    Trial t draws from default_rng(seed + t): its random model (if any)
-    first, then its reference sample.
+    Trial t draws from stream t of default_rng(seed).spawn(trials): its
+    random model (if any) first, then its reference sample.
     """
     cfg.validate()
-    rows = []
-    for trial in range(cfg.trials):
-        trng = np.random.default_rng(cfg.seed + trial)
+    rows, rng = [], np.random.default_rng(cfg.seed)
+    for trial, trng in enumerate(rng.spawn(cfg.trials)):
         model = _get_model(cfg, trng)
         ref = rejection_sample(model, cfg.s, trng)
         p_vals = model.pdf(ref.samples)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ancestor import AncestorPmf, build_alias, build_ancestor, sample_ancestors
 from .batch import SampleBatch, begin_draw
-from .model import _BLOCK, EvalCounter, FourierDensity, _reduce, wrap
+from .model import _BLOCK, EvalCounter, FourierDensity, wrap
 
 SUPPORTED_DEGREES = (0, 1, 2)
 
@@ -94,9 +94,9 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
     the one piece of w it can reach there.  O(S (D+1)) for S points, in
     blocks of _BLOCK with work arrays made once per call.  The weights
     come from one table of p wrapped by a few cells at each end, which
-    covers every k for x in [-1, 1); a block with x outside takes k mod K
-    first, after x mod 2 where |x| > 2^20 (_reduce, as pointwise model
-    evaluation does), and a non-finite x gives NaN.
+    covers every k for x in [-1, 1).  A block with some x outside [-1, 1)
+    is first wrapped onto it (wrap, exact, as pointwise model evaluation
+    does), so q is exactly periodic, and a non-finite x gives NaN.
     """
     x = np.asarray(x, dtype=float)
     q = np.empty(x.shape)
@@ -109,15 +109,16 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
     t, k, u, w = (np.empty(n) for _ in range(4))
     idx, up = np.empty(n, np.intp), np.empty(n, bool)
     for lo in range(0, flat_x.size, _BLOCK):
-        xb, qb = _reduce(flat_x[lo : lo + _BLOCK]), flat_q[lo : lo + _BLOCK]
+        xb, qb = flat_x[lo : lo + _BLOCK], flat_q[lo : lo + _BLOCK]
+        off_domain = not (-1.0 <= xb.min() and xb.max() < 1.0)
+        if off_domain:  # or NaN: computed at x = -1, then set to NaN
+            xb = wrap(xb)
+            bad = np.isnan(xb)
+            xb[bad] = -1.0
         m = xb.size
         tb, kb, ub, wb, ib, hb = t[:m], k[:m], u[:m], w[:m], idx[:m], up[:m]
         np.add(xb, 1.0, out=tb)
         tb *= half_k
-        off_domain = not (0.0 <= tb.min() and tb.max() <= k_grid)
-        if off_domain:  # or NaN: computed at t = 0, then set to NaN
-            bad = np.isnan(tb)
-            tb[bad] = 0.0
         np.floor(tb, out=kb)
         if degree % 2 == 0:
             # k0 from the exact fraction t - floor(t), so that rounding in
@@ -126,8 +127,7 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
             np.greater_equal(ub, 0.5, out=hb)
             kb += hb
             kb -= degree // 2
-        np.add(np.mod(kb, k_grid, out=ub) if off_domain else kb, lead,
-               out=ib, casting="unsafe")
+        np.add(kb, lead, out=ib, casting="unsafe")
         for off in range(degree + 1):
             if off:
                 kb += 1

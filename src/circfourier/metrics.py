@@ -7,6 +7,7 @@ plus the closed-form grid-approximation bounds quantify sample quality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,11 @@ def w1_quadrature(p_eval, q_eval) -> DivergenceReport:
 
 def tv_bound(n_terms: int, K: int) -> float:
     """Guaranteed TV(p, q) bound for the triangle-kernel grid approximation,
-    for an integer K >= 2N+1, the grid pdf_grid builds."""
-    if n_terms < 0:
+    for integers N >= 0 and K >= 2N+1, the grid pdf_grid builds."""
+    n = operator.index(n_terms)
+    if n < 0:
         raise ValueError("n_terms must be >= 0")
-    K = _check_grid_size(n_terms, K)
-    n = n_terms
+    K = _check_grid_size(n, K)
     return math.pi**2 * n * (n + 1) * (2 * n + 1) / (12.0 * K * K)
 
 

@@ -19,8 +19,6 @@ PDF_FLOOR = 1e-12
 
 _BLOCK = 1 << 14  # points per block of the pointwise evaluations
 
-# Past this |x|, x is first reduced by its period 2, exactly.
-_REDUCE_MAX = 2.0**20
 # Adding this (plus L/2) rounds t = (L/2) x to an integer r and leaves
 # r + L/2 in the low mantissa bits.
 _ROUND = 1.5 * 2.0**52
@@ -274,29 +272,21 @@ def _taylor_table(s, real: bool) -> np.ndarray:
     return rows
 
 
-def _reduce(xb):
-    """xb, or, where some |x| > 2^20 or x is not finite, a copy with those
-    x replaced by fmod(x, 2): exact, and NaN at NaN and +-inf."""
-    if -_REDUCE_MAX <= xb.min() and xb.max() <= _REDUCE_MAX:
-        return xb
-    with np.errstate(invalid="ignore"):  # fmod(+-inf, 2) is NaN
-        return np.where(np.abs(xb) <= _REDUCE_MAX, xb, np.fmod(xb, 2.0))
-
-
 def _taylor(rows, x, out=None, slope: bool = False):
     """Yield (sl, P, W) per block of _BLOCK points of x, flattened, with
     P = sum_m rows[m][j] d^m: the series at each point from the Taylor
     table `rows` (of _taylor_table) about the anchor x_j = 2r/L (mod 2),
     r = rint((L/2) x), by Horner's rule in d.  Here d = fl(pi x) - pi x_j:
     the angle that np.exp(-1j*np.pi*x) sees, fl(pi x), less the anchor's.
-    Once x is reduced (_reduce), r is exact, and with pi in two pieces d
-    errs by under 2^-20 ulp of fl(pi x) beyond its own rounding (while
-    (L/2)|x| < 2^34); |d| <= pi/L + 2^-32.  W is dP/dd when `slope`, else
-    work space that the block no longer needs.  P is written into out[sl]
-    when `out` (flat, of x's size) is given.  The work arrays are made
-    once per call and the next block overwrites the yielded ones, so
-    memory is flat in the number of points; a caller may use them as
-    scratch.  NaN x gives NaN."""
+    A block with some x outside [-1, 1) is first wrapped onto it (wrap,
+    exact), so the series is exactly periodic and NaN or +-inf gives NaN.
+    Then r is exact, and with pi in two pieces d errs by under 2^-20 ulp
+    of fl(pi x) beyond its own rounding; |d| <= pi/L + 2^-32.  W is dP/dd
+    when `slope`, else work space that the block no longer needs.  P is
+    written into out[sl] when `out` (flat, of x's size) is given.  The
+    work arrays are made once per call and the next block overwrites the
+    yielded ones, so memory is flat in the number of points; a caller may
+    use them as scratch."""
     x = np.asarray(x, dtype=float).reshape(-1)
     size, half = min(x.size, _BLOCK), 0.5 * rows.shape[1]
     shift, pi_hi, pi_lo = _ROUND + half, _PI_HI / half, _PI_LO / half
@@ -309,7 +299,9 @@ def _taylor(rows, x, out=None, slope: bool = False):
     P = np.empty(size, rows.dtype) if out is None else None
     for lo in range(0, x.size, _BLOCK):
         sl = slice(lo, lo + _BLOCK)
-        xb = _reduce(x[sl])
+        xb = x[sl]
+        if not (-1.0 <= xb.min() and xb.max() < 1.0):  # off [-1, 1), or NaN
+            xb = wrap(xb)
         n = xb.size
         db, dtb, ib, gb, wb = d[:n], dt[:n], idx[:n], G[:n], W[:n]
         pb = P[:n] if out is None else out[sl]
@@ -385,13 +377,15 @@ def _least_divisor(K: int, m: int) -> int:
 
 
 def wrap(x):
-    """Wrap a real coordinate into [-1, 1); exact identity on the domain."""
+    """Wrap x into [-1, 1) by its period 2, exactly but at 1 - 2^-53 (which
+    gives -1), NaN at NaN and +-inf: the one reduction onto the circle."""
     x = np.asarray(x, dtype=float)
     vals = np.add(x, 1.0, out=np.empty(x.shape))
     vals /= 2.0
     np.floor(vals, out=vals)
     vals *= 2.0
-    np.subtract(x, vals, out=vals)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN at +-inf
+        np.subtract(x, vals, out=vals)
     # guard the rounding edge when (x + 1) / 2 rounds across an integer;
     # the max/min tests keep the common case free of a mask array
     if vals.max(initial=0.0) >= 1.0:
@@ -412,7 +406,7 @@ def to_real_line(x, scale: float, offset: float):
 
 def random_density(n_terms: int, rng) -> FourierDensity:
     """Density with N+1 amplitudes drawn i.i.d. complex standard normal."""
-    if n_terms < 0:
+    if operator.index(n_terms) < 0:
         raise ValueError("n_terms must be >= 0")
     rng = np.random.default_rng(rng)
     a = rng.standard_normal(n_terms + 1) + 1j * rng.standard_normal(n_terms + 1)

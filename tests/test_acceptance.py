@@ -195,9 +195,10 @@ def test_criterion_07_kl_vs_grid_density(capsys):
     trend_ok = decreasing / pairs >= 0.9
 
     order_ok = rows_ok = True
-    for tr in range(cfg.trials):
-        # run_convergence draws trial tr's model first from seed + tr
-        model = random_density(cfg.n, np.random.default_rng(cfg.seed + tr))
+    trngs = np.random.default_rng(cfg.seed).spawn(cfg.trials)
+    for tr, trng in enumerate(trngs):
+        # run_convergence draws trial tr's model first from its stream tr
+        model = random_density(cfg.n, trng)
         for k in ks:
             pmf = build_ancestor(model, k)
             exact = {}

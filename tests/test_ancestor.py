@@ -88,6 +88,12 @@ class TestAliasTable:
         probs /= probs.sum()
         assert self.reconstruction_error(probs) < 1e-12
 
+    @pytest.mark.parametrize("probs", [[0.0, 0.0, 0.0], [0.5, np.nan, 0.5]],
+                             ids=["zeros", "nan"])
+    def test_unnormalizable_pmf_rejected(self, probs):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            build_alias(AncestorPmf(np.array(probs)))
+
     def test_model_pmf_reconstruction(self):
         pmf = build_ancestor(random_density(12, 5), 100)
         table = build_alias(pmf)

@@ -118,6 +118,15 @@ class TestDrawContract:
         with pytest.raises(ValueError, match="size"):
             draw(0, 7, None)
 
+    def test_size_must_be_an_integer(self, name):
+        # checked before the grid is evaluated or a proposal drawn
+        draw, _ = SAMPLERS[name]
+        counter = EvalCounter()
+        with pytest.raises(TypeError):
+            draw(3.0, 7, counter)
+        assert counter.total_evals == 0
+        assert draw(np.int64(3), 7, None).size == 3
+
     @pytest.mark.parametrize("rng,seed", [
         (7, 7), (np.int64(7), 7), (np.random.default_rng(7), None),
     ], ids=["int", "np.int64", "Generator"])

@@ -418,6 +418,15 @@ class TestConvergenceCommand:
                 n=5, s=2000, trials=2, k_sweep=(16, 32), degrees=(0, 1))))
         assert all(float(r[4]) > 0 for r in rows)
 
+    def test_trials_independent_across_seeds(self):
+        # trial t of one seed must not repeat a trial of the next seed
+        def rows(seed):
+            cfg = ExperimentConfig(seed=seed, n=5, s=2000, trials=2,
+                                   k_sweep=(16,), degrees=(1,))
+            return {r[3:] for r in run_convergence(cfg)}
+
+        assert not rows(0) & rows(1)
+
     def test_uniform_model_kl_near_zero(self):
         cfg = ExperimentConfig(
             seed=1, n=0, s=20000, trials=1, k_sweep=(8, 16), degrees=(1,)

@@ -167,8 +167,8 @@ def test_compound_pdf_memory_flat_in_points():
 
 
 def test_evaluations_nan_at_non_finite_points():
-    # with no warning: the reduction by the period, fmod, is invalid at
-    # +-inf, but NaN is what the evaluations promise there
+    # with no warning: wrapping onto the circle is invalid at +-inf, but
+    # NaN is what the evaluations promise there
     m = random_density(7, 3)
     x = np.array([0.25, np.nan, np.inf, -np.inf])
     with warnings.catch_warnings():
@@ -182,8 +182,45 @@ def test_evaluations_nan_at_non_finite_points():
     assert np.all(np.isnan(scalars))
 
 
+@st.composite
+def periodic_cases(draw):
+    """(model, K, x, shift): x on the dyadic grid of spacing 2^-g in
+    [-1, 1), and even shifts 2m with |2m| <= 2^(52-g), so that x + 2m is
+    exact; half of the shifts have |2m| <= 2^20, where x + 2m was once
+    evaluated unreduced.  K is a grid size for the model, 2N+1 often."""
+    n = draw(st.integers(0, 60))
+    k = draw(st.one_of(st.just(2 * n + 1), st.integers(2 * n + 1, 4 * n + 39)))
+    g = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-(2**g), 2**g, 4000) * 2.0**-g
+    wide = 2 ** (51 - g)
+    m = np.concatenate([rng.integers(-wide, wide + 1, 2000),
+                        rng.integers(-min(wide, 2**19), min(wide, 2**19) + 1,
+                                     2000)])
+    return random_density(n, rng), k, x, 2.0 * m
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_cases())
+def test_evaluations_exactly_periodic(case):
+    # every evaluation wraps x onto [-1, 1) first, exactly, so a shift by
+    # whole periods changes no bit
+    m, k, x, shift = case
+    far = x + shift
+    assert np.array_equal(far - shift, x)  # x + 2m is exact
+    p, s = m.pdf_and_score(x)
+    p_far, s_far = m.pdf_and_score(far)
+    assert np.array_equal(m.pdf(far), m.pdf(x))
+    assert np.array_equal(p_far, p) and np.array_equal(s_far, s)
+    pmf = build_ancestor(m, k)
+    for degree in (0, 1, 2):
+        kernel = BSplineKernel(degree)
+        assert np.array_equal(compound_pdf(pmf, kernel, far),
+                              compound_pdf(pmf, kernel, x))
+
+
 def test_far_points_reduced_by_the_period():
-    # beyond |x| = 2^20 the argument is reduced mod 2 first, exactly
+    # off the circle the argument is wrapped onto it first, exactly
     m = random_density(7, 3)
     x = np.array([0.25, -0.75, 0.5])
     far = x + np.array([2.0**40, -(2.0**50), 2.0**21])

@@ -13,6 +13,7 @@ from circfourier import (
     compound_pdf,
     grid_ancestral_sample,
     random_density,
+    wrap,
 )
 
 
@@ -221,16 +222,17 @@ class TestCompoundPdf:
     @settings(max_examples=60, deadline=None)
     @given(case=compound_cases())
     def test_equals_five_offset_sum(self, degree, case):
-        # the same nonzero terms in the same order: bit-identical
+        # the same nonzero terms in the same order: bit-identical, once x
+        # is on the circle, where compound_pdf wraps it first
         pmf, xs, scalars = case
         kernel = BSplineKernel(degree)
         # more points than one block, flat and as a 2-D array
         for x in (xs, xs[: 3 * (xs.size // 3)].reshape(3, -1)):
             assert np.array_equal(compound_pdf(pmf, kernel, x),
-                                  five_offset_compound_pdf(pmf, kernel, x))
+                                  five_offset_compound_pdf(pmf, kernel, wrap(x)))
         for x in scalars:
             assert compound_pdf(pmf, kernel, x) == \
-                five_offset_compound_pdf(pmf, kernel, x)
+                five_offset_compound_pdf(pmf, kernel, wrap(x))
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_non_finite_gives_nan_without_warning(self, degree):
@@ -248,8 +250,8 @@ class TestCompoundPdf:
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_far_points_reduced_by_the_period(self, degree):
-        # past |x| = 2^20 x is reduced mod 2 first, exactly, as pointwise
-        # model evaluation does, and q keeps its period there
+        # far off the circle x is wrapped onto it first, exactly, as
+        # pointwise model evaluation does, and q keeps its period there
         pmf = build_ancestor(random_density(5, 1), 2048)
         kernel = BSplineKernel(degree)
         x = np.array([1e13, -1e13 + 0.5, 2.0**60, 1e300, -1e300])

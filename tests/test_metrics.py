@@ -234,6 +234,12 @@ class TestBounds:
         assert messages[0] == messages[1]
         assert tv_bound(1, np.int64(3)) == tv_bound(1, 3)
 
+    def test_n_must_be_an_integer(self):
+        # as K must: 2.0 == 2, but no density has a fractional degree
+        with pytest.raises(TypeError):
+            tv_bound(2.0, 5)
+        assert tv_bound(np.int64(2), 5) == tv_bound(2, 5)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_bound_compliance_random_models(self, seed):
         rng = np.random.default_rng(seed)

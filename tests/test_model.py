@@ -282,6 +282,14 @@ class TestRandomDensity:
         with pytest.raises(ValueError):
             random_density(-1, 0)
 
+    def test_n_must_be_an_integer(self):
+        # checked on entry, not by numpy when it is asked for N + 1 draws
+        for n in (2.5, 2.0):
+            with pytest.raises(TypeError, match="interpreted as an integer"):
+                random_density(n, 0)
+        assert np.array_equal(random_density(np.int64(2), 0).amplitudes,
+                              random_density(2, 0).amplitudes)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

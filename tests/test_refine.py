@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,12 @@ class TestWrap:
         x = np.array([np.nan, np.inf, -np.inf, 0.5])
         with np.errstate(invalid="ignore"):
             assert _bits(wrap(x)) == _bits(former_wrap(x))
+
+    def test_infinite_gives_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = [wrap(np.inf), wrap(-np.inf), *wrap(np.array([np.inf, -np.inf]))]
+        assert np.all(np.isnan(vals))
 
     def test_identity_in_range(self):
         assert wrap(0.3) == 0.3
