@@ -20,6 +20,7 @@ from .batch import SampleBatch, _fmt
 from .kernels import BSplineKernel, compound_pdf, grid_ancestral_sample
 from .ancestor import build_ancestor
 from .metrics import (
+    NumericalError,
     empirical_w1,
     inverse_transform_sample,
     kl_monte_carlo,
@@ -32,10 +33,6 @@ METHODS = ("daas", "daas+ula", "daas+mala", "rejection", "inverse")
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class NumericalError(RuntimeError):
     pass
 
 

@@ -149,6 +149,39 @@ class FourierDensity:
             rows = self._tables.setdefault(cdf, _taylor_table(series, real=cdf))
         return rows
 
+    def _hat(self) -> np.ndarray:
+        """H[j] >= pdf at every double in the closed cell
+        [x_j - 1/L, x_j + 1/L] of the amplitude table's anchor
+        x_j = -1 + 2j/L, whichever anchor _taylor takes there (Devroye 1986,
+        VIII.2); O(M^2 L), not kept.  For real d, |sum_m B_m d^m|^2 =
+        sum_k q_k d^k, q_k = sum_{i+m=k} Re(B_i conj(B_m)), which is at most
+        q_0 + sum_{k>=1} |q_k| r^k for |d| <= r = pi/L + 2^-32.  On the rows
+        over s = sum |a_n|, |A| and sum_m |B_m| r^m are at most
+        sigma = e^(N r).  |A| is widened by twice the truncation
+        T = sum_{m>M} (N r)^m/m!, for an edge point taken about the next
+        anchor, and each rounding by 2^-40 (thousands of ulps) of sigma,
+        sigma^2 or the result."""
+        rows = self._table()
+        order, size = rows.shape[0] - 1, rows.shape[1]
+        r = np.pi / size + 2.0**-32
+        s = float(np.sum(np.abs(self.amplitudes)))
+        re, im = rows.real / s, rows.imag / s
+        q, prod = np.zeros((2 * order + 1, size)), np.empty_like(re)
+        for i in range(order + 1):
+            q[i : i + order + 1] += np.multiply(re[i], re, out=prod)
+            q[i : i + order + 1] += np.multiply(im[i], im, out=prod)
+        hat = q[0] + r ** np.arange(1, 2 * order + 1) @ np.abs(q[1:])
+        rho = self.n_terms * r
+        tail = (rho ** (order + 1) / math.factorial(order + 1)
+                / (1.0 - rho / (order + 2)))
+        sigma = math.exp(rho)
+        hat += 2.0**-40 * sigma**2
+        np.sqrt(hat, out=hat)
+        hat += 2.0 * tail + 2.0**-40 * sigma
+        np.square(hat, out=hat)
+        hat *= (1.0 + 2.0**-40) * (s / math.sqrt(2.0 * self._c0)) ** 2
+        return hat
+
     def cdf(self, x, counter: EvalCounter | None = None):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
         Term-wise (F(x) - F(-1)) + (x + 1)/2, with F the antiderivative
@@ -196,10 +229,6 @@ class FourierDensity:
         """Gradient of the log density, p'(x)/max(p(x), floor)."""
         _, s = self.pdf_and_score(x, counter)
         return s if np.ndim(s) else float(s)
-
-    def envelope_constant(self) -> float:
-        """M with M * (1/2) >= p(x) everywhere; tight enough for rejection."""
-        return 1.0 + 2.0 * float(np.sum(np.abs(self._ratios)))
 
     def to_real_line(self, x):
         """Map a circle coordinate in (-1, 1) to the real line."""
@@ -377,21 +406,20 @@ def _least_divisor(K: int, m: int) -> int:
 
 
 def wrap(x):
-    """Wrap x into [-1, 1) by its period 2, exactly but at 1 - 2^-53 (which
-    gives -1), NaN at NaN and +-inf: the one reduction onto the circle."""
+    """Wrap x into [-1, 1) by its period 2, exactly, as x - k with k the
+    even integer nearest x (1 then goes to -1); NaN at NaN and +-inf: the
+    one reduction onto the circle.  The identity on [-1, 1), -0.0 kept."""
     x = np.asarray(x, dtype=float)
-    vals = np.add(x, 1.0, out=np.empty(x.shape))
-    vals /= 2.0
-    np.floor(vals, out=vals)
-    vals *= 2.0
+    k = np.multiply(x, 0.5, out=np.empty(x.shape))
+    np.rint(k, out=k)
+    k *= 2.0
+    k += 0.0  # -0.0 to +0.0, so that x - k keeps the sign of a zero x
     with np.errstate(invalid="ignore"):  # inf - inf: NaN at +-inf
-        np.subtract(x, vals, out=vals)
-    # guard the rounding edge when (x + 1) / 2 rounds across an integer;
-    # the max/min tests keep the common case free of a mask array
-    if vals.max(initial=0.0) >= 1.0:
+        vals = np.subtract(x, k, out=k)
+    # |x - k| <= 1, and the difference is exact; fmax skips NaN, so that
+    # a NaN does not hide a 1
+    if np.fmax.reduce(vals, axis=None, initial=0.0) >= 1.0:
         np.subtract(vals, 2.0, out=vals, where=vals >= 1.0)
-    if vals.min(initial=0.0) < -1.0:
-        np.add(vals, 2.0, out=vals, where=vals < -1.0)
     return vals if np.ndim(vals) else float(vals)
 
 

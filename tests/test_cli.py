@@ -323,7 +323,8 @@ class TestSampleCommand:
         assert manifest[0] == "# seed=0 S=3"
         assert f"# method={method}" in manifest
         if method == "rejection":
-            assert any(ln.startswith("# envelope=") for ln in manifest)
+            assert any(ln.startswith("# hat_mass=") for ln in manifest)
+            assert "# hat_cells=8192" in manifest  # L of an N=30 table
         assert not any(ln.startswith("# S=") for ln in manifest)
 
     def test_mala_manifest_has_acceptance_rate(self, tmp_path):
@@ -539,15 +540,19 @@ class TestCostCommand:
         )
 
     def test_rejection_row_measured(self, tmp_path):
-        # raised-cosine model has M = 2: ~2 proposals per accepted sample
+        # raised-cosine model: hat_mass proposals per accepted sample
+        model = FourierDensity([1.0, 1.0])
         path = tmp_path / "model.txt"
-        save_density(FourierDensity([1.0, 1.0]), path)
+        save_density(model, path)
         cfg = ExperimentConfig(
             n=1, k=50, s=10**6, t=20, seed=7, model_file=str(path)
         )
         rows = dict(run_cost(cfg))
-        sigma = np.sqrt(10**6 * 0.5 / 0.25)  # negative-binomial spread
-        assert abs(rows["rejection"] - 2 * 10**6) < 3 * sigma
+        hat = model._hat()
+        mass = np.cumsum(hat)[-1] * 2.0 / hat.size
+        accept = 1.0 / mass
+        sigma = np.sqrt(10**6 * (1.0 - accept) / accept**2)  # negative-binomial spread
+        assert abs(rows["rejection"] - mass * 10**6) < 3 * sigma
 
 
     def test_grid_methods_run_before_rejection(self, monkeypatch, tmp_path):
@@ -716,6 +721,15 @@ class TestExitCodes:
     def test_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "sample", "--n", "-1")
         assert code == 2
+
+    def test_hat_below_density_exits_3(self, monkeypatch, tmp_path, capsys):
+        hat = FourierDensity._hat
+        monkeypatch.setattr(FourierDensity, "_hat", lambda m: 0.9 * hat(m))
+        code, _ = run_cli(tmp_path, "sample", "--method", "rejection",
+                          "--n", "10", "--s", "1000")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: rejection hat below the density\n")
 
     def test_missing_config_file(self, tmp_path):
         code, _ = run_cli(tmp_path, "sample", "--config", "/nonexistent.cfg")

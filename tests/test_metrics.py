@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from circfourier import (
@@ -20,26 +21,27 @@ from circfourier import (
     tv_quadrature,
     w1_bound,
     w1_quadrature,
+    wrap,
 )
+from circfourier.metrics import NumericalError
 
 
 class TestRejectionSampling:
     def test_uniform_model_never_rejects(self):
-        # M = 1: the envelope is the target, every proposal is accepted
+        # the hat is the target up to rounding: every proposal is accepted
         m = FourierDensity([1.0])
-        assert m.envelope_constant() == 1.0
         batch = rejection_sample(m, 5000, 0)
+        assert batch.meta["hat_mass"] == pytest.approx(1.0, abs=1e-9)
         assert batch.size == 5000
         assert batch.meta["proposals"] == 5000
 
     def test_cosine_model_envelope(self):
         m = FourierDensity([1.0, 1.0])
-        assert m.envelope_constant() == pytest.approx(2.0)
         batch = rejection_sample(m, 10**5, 2)
-        # acceptance probability is 1/M for a normalized target
+        # acceptance probability is 1/hat_mass for a normalized target
         n_prop = batch.meta["proposals"]
         p_hat = 10**5 / n_prop
-        assert p_hat == pytest.approx(0.5, abs=0.02)
+        assert p_hat == pytest.approx(1.0 / batch.meta["hat_mass"], abs=0.02)
 
     def test_bills_one_eval_per_proposal(self):
         m = FourierDensity([1.0, 1.0])
@@ -60,10 +62,36 @@ class TestRejectionSampling:
         assert np.array_equal(a.samples, b.samples)
 
     def test_envelope_recorded(self):
-        # the analytic M is the one used: 1 and 2 exactly
-        assert rejection_sample(FourierDensity([1.0]), 10, 0).meta["envelope"] == 1.0
-        cosine = FourierDensity([1.0, 1.0])
-        assert rejection_sample(cosine, 10, 0).meta["envelope"] == 2.0
+        # the hat used: its L cells, those of the amplitude table, and its
+        # mass sum_j H_j 2/L
+        for m in (FourierDensity([1.0]), FourierDensity([1.0, 1.0])):
+            meta = rejection_sample(m, 10, 0).meta
+            hat = m._hat()
+            assert meta["hat_cells"] == hat.size == m._table().shape[1]
+            assert meta["hat_mass"] == np.cumsum(hat)[-1] * 2.0 / hat.size
+            assert 1.0 <= meta["hat_mass"] < 1.001
+
+    def test_hat_below_density_raises(self, monkeypatch):
+        hat = FourierDensity._hat
+        monkeypatch.setattr(FourierDensity, "_hat", lambda m: 0.9 * hat(m))
+        with pytest.raises(NumericalError, match="hat below the density"):
+            rejection_sample(random_density(10, 1), 1000, 2)
+
+    def test_ks_with_mass_at_the_seam(self):
+        # A(w) = (1 - w)^6: p is proportional to sin(pi x/2)^12 and peaks
+        # at +-1, where cell 0 straddles the seam
+        m = FourierDensity([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
+        size = 10**5
+        batch = rejection_sample(m, size, 8)
+        x, edge = batch.samples, 1.0 - 1.0 / batch.meta["hat_cells"]
+        assert np.all((x >= -1.0) & (x < 1.0))
+        # cell 0 holds its share of the samples, from both sides of the seam
+        share = 1.0 - m.cdf(edge) + m.cdf(-edge)
+        in_cell = np.count_nonzero(np.abs(x) > edge)
+        assert abs(in_cell - size * share) <= 5 * math.sqrt(size * share)
+        assert np.any(x > edge) and np.any(x < -edge)
+        result = stats.kstest(x, m.cdf)
+        assert result.pvalue > 0.001
 
     def test_memory_flat_in_size(self):
         """Traced peak of one call stays within its output plus a fixed
@@ -83,9 +111,10 @@ class TestRejectionSampling:
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
     @pytest.mark.parametrize("n,size", [(0, 5000), (1, 10**5), (5, 3), (50, 1)])
     def test_matches_whole_rounds(self, bits, n, size):
-        """A call whose proposals fit in one chunk (1.1 S M <= 2^18) keeps
-        its stream unchanged: samples, bill and the generator's final state
-        equal those of drawing each round of proposals whole."""
+        """A call whose proposals fit in one chunk (1.1 S hat_mass <= 2^17)
+        keeps its stream unchanged: samples, bill and the generator's final
+        state equal those of drawing each round of proposals whole, with
+        cells found by np.searchsorted, not by the guide table."""
         m = random_density(n, 100 + n)
         rng, ref_rng = np.random.Generator(bits(n)), np.random.Generator(bits(n))
         c = EvalCounter()
@@ -97,14 +126,20 @@ class TestRejectionSampling:
 
 
 def _whole_rounds(model, size, rng):
-    """The former rejection loop: each round of proposals drawn at once."""
-    m_const = model.envelope_constant()
+    """Rejection under the hat, each round of proposals drawn at once: the
+    cell of v = U * sum(H) by np.searchsorted over the cumulative sum, x
+    uniform in the cell and wrapped, accepted when u H_j <= p(x)."""
+    hat = model._hat()
+    cells = hat.size
+    cum = np.cumsum(hat)
+    total = cum[-1]
     out, collected, proposals = [], 0, 0
     while collected < size:
-        chunk = max(1024, int((size - collected) * m_const * 1.1))
-        x = rng.uniform(-1.0, 1.0, chunk)
+        chunk = max(1024, int((size - collected) * (total * 2.0 / cells) * 1.1))
+        j = np.searchsorted(cum[:-1], rng.random(chunk) * total, side="right")
+        x = wrap((2.0 * rng.random(chunk) + (2 * j - 1.0 - cells)) / cells)
         u = rng.random(chunk)
-        acc_idx = np.flatnonzero(u <= model.pdf(x) / (0.5 * m_const))
+        acc_idx = np.flatnonzero(u * hat[j] <= model.pdf(x))
         if collected + acc_idx.size >= size:
             acc_idx = acc_idx[: size - collected]
             proposals += int(acc_idx[-1]) + 1
@@ -113,6 +148,37 @@ def _whole_rounds(model, size, rng):
         out.append(x[acc_idx])
         collected += acc_idx.size
     return np.concatenate(out), proposals
+
+
+@st.composite
+def amplitudes(draw):
+    """N + 1 <= 201 i.i.d. complex normal amplitudes; half of the time
+    with a zero of A on the unit circle, where p vanishes."""
+    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    if n >= 1 and draw(st.booleans()):
+        x0 = draw(st.floats(-1.0, 1.0, exclude_max=True))
+        a = np.convolve(a[:-1], [1.0, -np.exp(1j * np.pi * x0)])
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(amplitudes())
+@example([1.0, -1.0])
+@example([2.0 - 1.0j])
+def test_hat_bounds_pdf_on_every_cell(amps):
+    """Every H_j is at or above pdf at 65 points across its closed cell
+    [x_j - 1/L, x_j + 1/L], both edges included, and the hat's mass is at
+    most 1.06."""
+    m = FourierDensity(amps)
+    hat = m._hat()
+    cells = hat.size
+    assert cells == m._table().shape[1]
+    x = (-1.0 - 1.0 / cells) + (2.0 / cells) * (
+        np.arange(cells)[:, None] + np.arange(65) / 64)
+    assert np.all(m.pdf(x) <= hat[:, None])
+    assert np.cumsum(hat)[-1] * 2.0 / cells <= 1.06
 
 
 class TestInverseTransformSampling:

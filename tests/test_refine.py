@@ -25,11 +25,14 @@ from circfourier.refine import SCHEDULES
 
 
 def former_wrap(x):
-    """wrap as it was before it worked in one output array: the reference."""
+    """wrap as it was before it worked in one output array: the reference,
+    but for 1 - 2^-53, where x + 1 rounds to 2 and it gave -1.0; that x is
+    in [-1, 1), so it stays as it is."""
     x = np.asarray(x, dtype=float)
     vals = x - 2.0 * np.floor((x + 1.0) / 2.0)
     vals = np.where(vals >= 1.0, vals - 2.0, vals)
     vals = np.where(vals < -1.0, vals + 2.0, vals)
+    vals = np.where(x == np.nextafter(1.0, 0.0), x, vals)
     return vals if np.ndim(vals) else float(vals)
 
 
@@ -76,6 +79,19 @@ class TestWrap:
 
     def test_identity_in_range(self):
         assert wrap(0.3) == 0.3
+        assert wrap(np.nextafter(1.0, 0.0)) == np.nextafter(1.0, 0.0)
+
+    def test_pdf_at_largest_double_below_one_independent_of_block(self):
+        # a block with a point off [-1, 1) is wrapped whole; 1 - 2^-53 must
+        # come through as itself, not as -1
+        m = random_density(20, 1)
+        x = 1.0 - 2.0**-53
+        assert m.pdf([x])[0] == m.pdf([x, 5.0])[0]
+
+    def test_nan_does_not_hide_a_one(self):
+        # 5 - 4 is 1, which goes to -1 whatever else the array holds
+        vals = wrap(np.array([np.nan, 5.0, -3.0]))
+        assert np.isnan(vals[0]) and vals[1:].tolist() == [-1.0, -1.0]
 
     def test_one_period_shift(self):
         assert wrap(1.5) == -0.5
