@@ -31,9 +31,6 @@ class AncestorPmf:
     def size(self) -> int:
         return self.probs.size
 
-    def grid(self) -> np.ndarray:
-        return -1.0 + 2.0 * np.arange(self.size) / self.size
-
 
 @dataclass(frozen=True)
 class AliasTable:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancestor import AncestorPmf, build_alias, build_ancestor, sample_ancestors
+from .ancestor import (
+    AliasTable, AncestorPmf, build_alias, build_ancestor, sample_ancestors,
+)
 from .batch import SampleBatch, begin_draw
 from .model import _BLOCK, EvalCounter, FourierDensity, wrap
 
@@ -147,6 +149,15 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
     return q if np.ndim(q) else float(q)
 
 
+def _draw(table: AliasTable, kernel: BSplineKernel, size: int, rng):
+    """`size` DAAS draws on the table's K cells: the cells idx from the
+    alias table, then the offsets u from the kernel, from `rng` in that
+    order; x = wrap(-1 + (2/K)(idx + u)).  Returns (idx, x)."""
+    idx = sample_ancestors(table, size, rng)
+    u = kernel.sample(size, rng)
+    return idx, wrap(-1.0 + (2.0 / table.size) * (idx + u))
+
+
 def grid_ancestral_sample(
     model: FourierDensity,
     K: int,
@@ -165,9 +176,7 @@ def grid_ancestral_sample(
     """
     seed, rng, counter = begin_draw(size, rng, counter)
     table = build_alias(build_ancestor(model, K, counter))
-    idx = sample_ancestors(table, size, rng)
-    u = kernel.sample(size, rng)
-    x = wrap(-1.0 + (2.0 / K) * (idx + u))
+    _, x = _draw(table, kernel, size, rng)
     return SampleBatch(
         samples=x,
         seed=seed,

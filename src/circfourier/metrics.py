@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ancestor import AncestorPmf, build_alias
 from .batch import SampleBatch, begin_draw
-from .model import EvalCounter, FourierDensity, _check_grid_size, wrap
+from .kernels import BSplineKernel, _draw
+from .model import EvalCounter, FourierDensity, _check_grid_size
 
 KL_FLOOR = 1e-12
 _TV_REFINE_TOL = 1e-8
@@ -21,7 +23,7 @@ _TV_MAX_DOUBLINGS = 3
 # Intervals of the tv_quadrature (starting) and w1_quadrature grids.
 _QUAD_GRID = 20000
 # Most proposals held at once by rejection_sample.
-_REJECTION_CHUNK = 1 << 17
+_REJECTION_CHUNK = 1 << 15
 
 
 class NumericalError(RuntimeError):
@@ -44,11 +46,13 @@ def rejection_sample(
     """Exact i.i.d. samples via rejection under a piecewise-constant hat.
 
     The hat is model._hat(): on each of the L cells of the model's
-    amplitude table, a certified bound H_j >= p.  A proposal picks cell j
-    with probability proportional to H_j, by a guide table over the
-    cumulative sum of H (Chen and Asau 1974), then x uniform in the cell,
-    wrapped onto the circle (cell 0 straddles +-1), and is accepted when
-    u H_j <= p(x).  A call costs S * hat_mass proposals on average, where
+    amplitude table, a certified bound H_j >= p on the closed cell
+    [x_j - 1/L, x_j + 1/L], x_j = -1 + 2j/L.  A proposal is a DAAS draw
+    from the hat with the box kernel: cell j from the alias table of H,
+    x = wrap(-1 + (2/L)(j + v)) with v uniform on [-1/2, 1/2), accepted
+    when u H_j <= p(x).  L is a power of two, so 2/L is exact and, with
+    rounding monotone, x before the wrap lies in its closed cell (cell 0
+    straddles +-1).  A call costs S * hat_mass proposals on average, where
     hat_mass = sum_j H_j 2/L, recorded with hat_cells = L in the manifest.
     A proposal with p(x) > H_j raises NumericalError.
 
@@ -57,56 +61,26 @@ def rejection_sample(
     the manifest.  The bill is kept here, not by pdf, because a pass
     evaluates its whole chunk, past that last proposal.  Each pass draws
     C = 1.1 (S - accepted) hat_mass proposals (at least 1024, at most
-    _REJECTION_CHUNK, so memory beyond the output is flat in `size`):
-    C uniforms for the cells, C for x within them, then C uniforms u, from
-    `rng`.
+    _REJECTION_CHUNK, so that memory beyond the output is flat in `size`
+    and a chunk's arrays stay cache-sized): from `rng`, the C cells and C
+    offsets of the draw, then C uniforms u.
     """
     seed, rng, counter = begin_draw(size, rng, counter)
     hat = model._hat()
     cells = hat.size
-    cum = np.cumsum(hat)
-    total = float(cum[-1])
-    cum[-1] = np.inf  # the last cell takes every v past the others
-    mass = total * 2.0 / cells
-    # The cell of v is searchsorted(cum, v, side="right").  It is at least
-    # guide[b], b = int(v * scale), since each edge lies below every v that
-    # rounds into its bucket; the search goes up from there.
-    scale = cells / total
-    edges = np.arange(cells + 1) / scale
-    edges *= 1.0 - 2.0**-50
-    guide = np.searchsorted(cum, edges, side="right")
-    cap = min(_REJECTION_CHUNK, max(1024, int(size * mass * 1.1)))
-    # work buffers, reused in turn: x holds v, then x; w the buckets, the
-    # cum of each cell, the cells' left edges, then H_j; j the cells, then u
-    x, w, j = np.empty(cap), np.empty(cap), np.empty(cap, np.int64)
+    mass = float(np.cumsum(hat)[-1]) * 2.0 / cells
+    table, box = build_alias(AncestorPmf(hat)), BSplineKernel(0)
     samples = np.empty(size)
     collected = 0
     n_proposals = 0
     while collected < size:
-        step = min(cap, max(1024, int((size - collected) * mass * 1.1)))
-        xs, ws, js = x[:step], w[:step], j[:step]
-        v = rng.random(out=xs)
-        v *= total
-        np.multiply(v, scale, out=ws.view(np.int64), casting="unsafe")
-        np.take(guide, ws.view(np.int64), out=js)
-        todo = np.flatnonzero(np.take(cum, js, out=ws) <= v)
-        while todo.size:
-            js[todo] += 1
-            todo = todo[cum[js[todo]] <= v[todo]]
-        # x = x_j - 1/L + 2U/L, with x_j = -1 + 2j/L: one rounding, so
-        # it stays in the closed cell
-        np.multiply(js, 2.0, out=ws)
-        ws -= 1.0 + cells
-        rng.random(out=xs)
-        xs *= 2.0
-        xs += ws
-        xs /= cells
-        np.take(hat, js, out=ws)
-        u = rng.random(out=js.view(np.float64))
-        u *= ws
-        p = model.pdf(xs)  # cell 0's points below -1 are wrapped by pdf
-        ws -= p
-        if ws.min() < 0.0:
+        step = min(_REJECTION_CHUNK,
+                   max(1024, int((size - collected) * mass * 1.1)))
+        j, x = _draw(table, box, step, rng)
+        h = hat[j]
+        u = rng.random(step) * h
+        p = model.pdf(x)
+        if np.any(p > h):
             raise NumericalError("rejection hat below the density")
         acc_idx = np.flatnonzero(u <= p)
         if collected + acc_idx.size >= size:
@@ -116,7 +90,7 @@ def rejection_sample(
             consumed = int(acc_idx[-1]) + 1
         else:
             consumed = step
-        samples[collected : collected + acc_idx.size] = wrap(xs[acc_idx])
+        samples[collected : collected + acc_idx.size] = x[acc_idx]
         n_proposals += consumed
         counter.pdf_evals += consumed
         collected += acc_idx.size

@@ -58,10 +58,6 @@ class TestBuildAncestor:
         assert np.array_equal(build_ancestor(m, k).probs,
                               build_ancestor(m, 64).probs)
 
-    def test_grid_geometry(self):
-        pmf = build_ancestor(FourierDensity([1.0]), 4)
-        assert np.allclose(pmf.grid(), [-1.0, -0.5, 0.0, 0.5])
-
 
 class TestAliasTable:
     def reconstruction_error(self, probs):
@@ -95,9 +91,14 @@ class TestAliasTable:
             build_alias(AncestorPmf(np.array(probs)))
 
     def test_model_pmf_reconstruction(self):
-        pmf = build_ancestor(random_density(12, 5), 100)
-        table = build_alias(pmf)
-        assert np.max(np.abs(reconstruct_pmf(table) - pmf.probs)) < 1e-12
+        # an ancestor PMF, and the rejection hats of two models, which
+        # sum to hat_mass L / 2 rather than 1
+        pmf = build_ancestor(random_density(12, 5), 100).probs
+        for probs in (pmf, random_density(12, 5)._hat(),
+                      random_density(50, 6)._hat()):
+            table = build_alias(AncestorPmf(probs))
+            err = reconstruct_pmf(table) - probs / probs.sum()
+            assert np.max(np.abs(err)) < 1e-12
 
 
 class TestSampling:

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from circfourier import (
+    AncestorPmf,
     BSplineKernel,
     EvalCounter,
     FourierDensity,
+    build_alias,
     build_ancestor,
     compound_pdf,
     empirical_w1,
@@ -23,6 +25,7 @@ from circfourier import (
     w1_quadrature,
     wrap,
 )
+from circfourier import kernels
 from circfourier.metrics import NumericalError
 
 
@@ -44,10 +47,12 @@ class TestRejectionSampling:
         assert p_hat == pytest.approx(1.0 / batch.meta["hat_mass"], abs=0.02)
 
     def test_bills_one_eval_per_proposal(self):
+        # in one chunk, and in four of _REJECTION_CHUNK = 2^15 proposals
         m = FourierDensity([1.0, 1.0])
-        c = EvalCounter()
-        batch = rejection_sample(m, 10**4, 3, c)
-        assert c.pdf_evals == batch.meta["proposals"]
+        for size in (10**4, 10**5):
+            c = EvalCounter()
+            batch = rejection_sample(m, size, 3, c)
+            assert c.pdf_evals == batch.meta["proposals"]
 
     def test_ks_against_cdf(self):
         m = random_density(10, 4)
@@ -107,14 +112,45 @@ class TestRejectionSampling:
             nbytes = batch.samples.nbytes
             assert peak <= 2 * nbytes + 12 * 2**20, (size, peak / 2**20)
 
+    @pytest.mark.parametrize("cells", [2, 4096, 8192])
+    def test_proposal_in_its_closed_cell(self, cells, monkeypatch):
+        """At the first and last cells and both extreme box offsets, x lies
+        in its closed cell [x_j - 1/L, x_j + 1/L] before the wrap, where the
+        hat bounds p, and in [-1, 1) after it."""
+        idx = np.repeat([0, cells - 1], 2)
+        offsets = np.tile([-0.5, 0.5 - 2.0**-53], 2)
+
+        class Box:
+            def sample(self, size, rng):
+                return offsets
+
+        monkeypatch.setattr(kernels, "sample_ancestors", lambda *args: idx)
+        table = build_alias(AncestorPmf(np.ones(cells)))
+        _, x = kernels._draw(table, Box(), idx.size, 0)
+        assert np.all((x >= -1.0) & (x < 1.0))
+        monkeypatch.setattr(kernels, "wrap", lambda x: x)
+        _, x = kernels._draw(table, Box(), idx.size, 0)
+        x_j = -1.0 + 2.0 * idx / cells
+        assert np.all((x_j - 1.0 / cells <= x) & (x <= x_j + 1.0 / cells))
+
+    def test_proposal_density_is_daas_on_the_hat(self):
+        # the box-kernel compound density of the hat is (L/2) H_j across
+        # each cell j, so a proposal lands in cell j with weight H_j
+        m = random_density(50, 9)
+        hat = m._hat()
+        cells = hat.size
+        offsets = np.array([-0.5, -0.3, 0.0, 0.3, 0.5 - 2.0**-20])
+        x = wrap(-1.0 + (2.0 / cells) * (np.arange(cells)[:, None] + offsets))
+        q = compound_pdf(AncestorPmf(hat), BSplineKernel(0), x)
+        assert np.all(q == (cells / 2) * hat[:, None])
 
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
-    @pytest.mark.parametrize("n,size", [(0, 5000), (1, 10**5), (5, 3), (50, 1)])
+    @pytest.mark.parametrize("n,size", [(0, 5000), (1, 2 * 10**4), (5, 3), (50, 1)])
     def test_matches_whole_rounds(self, bits, n, size):
-        """A call whose proposals fit in one chunk (1.1 S hat_mass <= 2^17)
+        """A call whose proposals fit in one chunk (1.1 S hat_mass <= 2^15)
         keeps its stream unchanged: samples, bill and the generator's final
-        state equal those of drawing each round of proposals whole, with
-        cells found by np.searchsorted, not by the guide table."""
+        state equal those of drawing each round of proposals whole, from
+        the generator's raw draws."""
         m = random_density(n, 100 + n)
         rng, ref_rng = np.random.Generator(bits(n)), np.random.Generator(bits(n))
         c = EvalCounter()
@@ -127,17 +163,19 @@ class TestRejectionSampling:
 
 def _whole_rounds(model, size, rng):
     """Rejection under the hat, each round of proposals drawn at once: the
-    cell of v = U * sum(H) by np.searchsorted over the cumulative sum, x
-    uniform in the cell and wrapped, accepted when u H_j <= p(x)."""
+    cells from the hat's alias table (a uniform cell, then a uniform that
+    keeps it or takes its alias), box offsets, then u; x = x_j + (2/L)
+    times the offset, wrapped, accepted when u H_j <= p(x)."""
     hat = model._hat()
     cells = hat.size
-    cum = np.cumsum(hat)
-    total = cum[-1]
+    table = build_alias(AncestorPmf(hat))
+    mass = np.cumsum(hat)[-1] * 2.0 / cells
     out, collected, proposals = [], 0, 0
     while collected < size:
-        chunk = max(1024, int((size - collected) * (total * 2.0 / cells) * 1.1))
-        j = np.searchsorted(cum[:-1], rng.random(chunk) * total, side="right")
-        x = wrap((2.0 * rng.random(chunk) + (2 * j - 1.0 - cells)) / cells)
+        chunk = max(1024, int((size - collected) * mass * 1.1))
+        i = rng.integers(cells, size=chunk)
+        j = np.where(rng.random(chunk) < table.prob[i], i, table.alias[i])
+        x = wrap(-1.0 + (2.0 / cells) * (j + (rng.random(chunk) - 0.5)))
         u = rng.random(chunk)
         acc_idx = np.flatnonzero(u * hat[j] <= model.pdf(x))
         if collected + acc_idx.size >= size:
