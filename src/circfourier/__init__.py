@@ -28,7 +28,6 @@ from .model import (
     load_density,
     random_density,
     save_density,
-    to_real_line,
     wrap,
 )
 from .refine import LangevinConfig, mala_refine, ula_refine
@@ -58,7 +57,6 @@ __all__ = [
     "rejection_sample",
     "sample_ancestors",
     "save_density",
-    "to_real_line",
     "tv_bound",
     "tv_quadrature",
     "ula_refine",

@@ -6,12 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EvalCounter
-
-# Rows formatted per write: enough that the array operations amortize their
-# per-call cost, few enough that a block's work arrays and text stay under
-# 4 MiB whatever the number of rows.
-_BLOCK_ROWS = 1 << 14
+from .model import _BLOCK, EvalCounter
 
 # One row of the fixed-column text: sign, "0.", three leading-zero slots,
 # 17 digits, newline and a spare column.  25 bytes hold every "%-24.17g\n"
@@ -62,14 +57,14 @@ class SampleBatch:
         """One sample per line, manifest carried in '#' comment lines.
 
         Samples are written as %.17g text, which round-trips every float64,
-        in blocks of _BLOCK_ROWS rows.  Rows with 1e-4 <= |v| < 1, which
+        in blocks of _BLOCK rows.  Rows with 1e-4 <= |v| < 1, which
         %.17g prints in fixed notation, are formatted by array operations
         (_format_rows); every other row by Python's own "%.17g", so the
         bytes are those of "%.17g\n" % v for every row.
         """
         fh.write("".join(line + "\n" for line in self.manifest_lines()))
-        for start in range(0, self.size, _BLOCK_ROWS):
-            fh.write(_format_rows(self.samples[start : start + _BLOCK_ROWS]))
+        for start in range(0, self.size, _BLOCK):
+            fh.write(_format_rows(self.samples[start : start + _BLOCK]))
 
 
 def begin_draw(size: int, rng, counter: EvalCounter | None = None):

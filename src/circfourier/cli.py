@@ -189,16 +189,18 @@ def run_convergence(
     Every trial uses the model file's density if one is named, else a
     random density of cfg.n terms; only the reference sample differs.
     Trial t draws from stream t of default_rng(seed).spawn(trials): its
-    random model (if any) first, then its reference sample.
+    random model (if any) first, then its reference sample.  Its grid PMFs
+    are built between the two; they draw nothing, and a K below 2N+1 fails
+    before the reference is drawn.
     """
     cfg.validate()
     rows, rng = [], np.random.default_rng(cfg.seed)
     for trial, trng in enumerate(rng.spawn(cfg.trials)):
         model = _get_model(cfg, trng)
+        pmfs = [(k, build_ancestor(model, k)) for k in cfg.k_sweep]
         ref = rejection_sample(model, cfg.s, trng)
         p_vals = model.pdf(ref.samples)
-        for k_grid in cfg.k_sweep:
-            pmf = build_ancestor(model, k_grid)
+        for k_grid, pmf in pmfs:
             for deg in cfg.degrees:
                 kernel = BSplineKernel(deg)
                 rep = kl_monte_carlo(

@@ -15,15 +15,13 @@ import numpy as np
 from .ancestor import AncestorPmf, build_alias
 from .batch import SampleBatch, begin_draw
 from .kernels import BSplineKernel, _draw
-from .model import EvalCounter, FourierDensity, _check_grid_size
+from .model import _BLOCK, EvalCounter, FourierDensity, _check_grid_size
 
 KL_FLOOR = 1e-12
 _TV_REFINE_TOL = 1e-8
 _TV_MAX_DOUBLINGS = 3
 # Intervals of the tv_quadrature (starting) and w1_quadrature grids.
 _QUAD_GRID = 20000
-# Most proposals held at once by rejection_sample.
-_REJECTION_CHUNK = 1 << 15
 
 
 class NumericalError(RuntimeError):
@@ -56,14 +54,14 @@ def rejection_sample(
     hat_mass = sum_j H_j 2/L, recorded with hat_cells = L in the manifest.
     A proposal with p(x) > H_j raises NumericalError.
 
-    Bills one pdf evaluation per proposal, and the bill stops at the
-    proposal that yields the final acceptance; the proposal count goes into
-    the manifest.  The bill is kept here, not by pdf, because a pass
-    evaluates its whole chunk, past that last proposal.  Each pass draws
-    C = 1.1 (S - accepted) hat_mass proposals (at least 1024, at most
-    _REJECTION_CHUNK, so that memory beyond the output is flat in `size`
-    and a chunk's arrays stay cache-sized): from `rng`, the C cells and C
-    offsets of the draw, then C uniforms u.
+    Each pass draws min(_BLOCK, S - accepted) proposals: from `rng`, their
+    cells and offsets, then their uniforms u.  A pass never holds more
+    proposals than samples still needed, so the S-th acceptance is the last
+    proposal of the last pass, and the count is that of a sampler that
+    draws one proposal at a time and stops there (Devroye 1986, II.3).
+    pdf bills each proposal where it evaluates it; the count goes into the
+    manifest.  Memory beyond the output is one pass's arrays, flat in
+    `size`.
     """
     seed, rng, counter = begin_draw(size, rng, counter)
     hat = model._hat()
@@ -71,34 +69,24 @@ def rejection_sample(
     mass = float(np.cumsum(hat)[-1]) * 2.0 / cells
     table, box = build_alias(AncestorPmf(hat)), BSplineKernel(0)
     samples = np.empty(size)
-    collected = 0
-    n_proposals = 0
+    collected = proposals = 0
     while collected < size:
-        step = min(_REJECTION_CHUNK,
-                   max(1024, int((size - collected) * mass * 1.1)))
+        step = min(_BLOCK, size - collected)
         j, x = _draw(table, box, step, rng)
         h = hat[j]
         u = rng.random(step) * h
-        p = model.pdf(x)
+        p = model.pdf(x, counter)
         if np.any(p > h):
             raise NumericalError("rejection hat below the density")
-        acc_idx = np.flatnonzero(u <= p)
-        if collected + acc_idx.size >= size:
-            # stop at the proposal that yields the final acceptance, so the
-            # bill matches drawing proposals one at a time
-            acc_idx = acc_idx[: size - collected]
-            consumed = int(acc_idx[-1]) + 1
-        else:
-            consumed = step
-        samples[collected : collected + acc_idx.size] = x[acc_idx]
-        n_proposals += consumed
-        counter.pdf_evals += consumed
-        collected += acc_idx.size
+        accepted = x[u <= p]
+        samples[collected : collected + accepted.size] = accepted
+        collected += accepted.size
+        proposals += step
     return SampleBatch(
         samples=samples,
         seed=seed,
         counter=counter,
-        meta={"proposals": n_proposals, "hat_mass": mass, "hat_cells": cells},
+        meta={"proposals": proposals, "hat_mass": mass, "hat_cells": cells},
     )
 
 

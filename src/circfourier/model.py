@@ -17,7 +17,11 @@ import numpy as np
 # its score and MALA's log p stay finite.
 PDF_FLOOR = 1e-12
 
-_BLOCK = 1 << 14  # points per block of the pointwise evaluations
+# Points per block of the pointwise evaluations, compound_pdf, rejection
+# passes and CSV rows: enough that the array operations amortize their
+# per-call cost, few enough that a block's work arrays stay small, so that
+# memory is flat in the number of points.
+_BLOCK = 1 << 14
 
 # Adding this (plus L/2) rounds t = (L/2) x to an integer r and leaves
 # r + L/2 in the low mantissa bits.
@@ -34,7 +38,7 @@ _TAYLOR_TOL = 2.0**-60
 
 @dataclass
 class EvalCounter:
-    """Ledger of model evaluations consumed by a sampling run.
+    """Ledger of the model evaluations a sampling run makes.
 
     A score evaluation is billed as two model evaluations: the density and
     its derivative share one coefficient pass but count separately in the
@@ -231,8 +235,14 @@ class FourierDensity:
         return s if np.ndim(s) else float(s)
 
     def to_real_line(self, x):
-        """Map a circle coordinate in (-1, 1) to the real line."""
-        return to_real_line(x, self.scale, self.offset)
+        """Map a circle coordinate in (-1, 1) to the real line:
+        scale * atanh(x) + offset, strictly increasing."""
+        x = np.asarray(x, dtype=float)
+        if np.any(np.abs(x) >= 1.0):
+            raise ValueError(
+                "to_real_line requires |x| < 1 (endpoints map to inf)")
+        vals = self.scale * np.arctanh(x) + self.offset
+        return vals if np.ndim(vals) else float(vals)
 
 
 def _check_grid_size(n_terms: int, K) -> int:
@@ -420,15 +430,6 @@ def wrap(x):
     # a NaN does not hide a 1
     if np.fmax.reduce(vals, axis=None, initial=0.0) >= 1.0:
         np.subtract(vals, 2.0, out=vals, where=vals >= 1.0)
-    return vals if np.ndim(vals) else float(vals)
-
-
-def to_real_line(x, scale: float, offset: float):
-    """s * atanh(x) + t; strictly increasing, defined on (-1, 1)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= 1.0):
-        raise ValueError("to_real_line requires |x| < 1 (endpoints map to inf)")
-    vals = scale * np.arctanh(x) + offset
     return vals if np.ndim(vals) else float(vals)
 
 

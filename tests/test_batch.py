@@ -15,8 +15,8 @@ from circfourier import (
     read_csv,
     rejection_sample,
 )
-from circfourier.batch import _BLOCK_ROWS
 from circfourier.cli import ExperimentConfig, main, run_sample
+from circfourier.model import _BLOCK
 
 
 def per_row_text(batch):
@@ -29,7 +29,7 @@ SAMPLE_ARGS = ("--n", "6", "--k", "40", "--seed", "21")
 
 
 class TestSampleOutput:
-    @pytest.mark.parametrize("s", [1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("s", [1, _BLOCK, 2 * _BLOCK + 3])
     def test_file_matches_per_row_format(self, tmp_path, s):
         out = tmp_path / "out.csv"
         assert main(["sample", *SAMPLE_ARGS, "--s", str(s),
@@ -38,7 +38,7 @@ class TestSampleOutput:
         assert out.read_bytes() == per_row_text(batch).encode("utf-8")
 
     def test_stdout_matches_per_row_format(self, capsys):
-        s = _BLOCK_ROWS + 5
+        s = _BLOCK + 5
         assert main(["sample", *SAMPLE_ARGS, "--s", str(s),
                      "--method", "daas+mala", "--t", "2"]) == 0
         batch = run_sample(ExperimentConfig(
@@ -51,7 +51,7 @@ class TestCsvRoundTrip:
     def test_samples_and_manifest_round_trip(self):
         rng = np.random.default_rng(4)
         edge = [-1.0, -0.0, 0.0, 5e-324, 0.1, 1.0 - 2.0**-53, -1.0 + 2.0**-52]
-        samples = np.concatenate([edge, rng.uniform(-1, 1, _BLOCK_ROWS + 9)])
+        samples = np.concatenate([edge, rng.uniform(-1, 1, _BLOCK + 9)])
         batch = SampleBatch(
             samples=samples, seed=12,
             counter=EvalCounter(pdf_evals=50, score_evals=7),

@@ -466,6 +466,18 @@ class TestConvergenceCommand:
         )
         assert got == code
 
+    def test_grids_built_before_the_reference(self, monkeypatch, capsys):
+        # K = 64 is below 2N+1 = 101: the trial's grids fail before its
+        # rejection reference would be drawn
+        def drawn(*args, **kwargs):
+            raise AssertionError("rejection sample drawn")
+
+        monkeypatch.setattr(cli, "rejection_sample", drawn)
+        argv = ["convergence", "--n", "50", "--k-sweep", "64,128",
+                "--s", "4000000"]
+        assert main(argv) == 2
+        assert "2n+1" in capsys.readouterr().err.lower()
+
     @pytest.mark.parametrize("flag", ["--k-sweep", "--degrees"])
     def test_empty_sweep_exits_2(self, capsys, flag):
         assert main(["convergence", "--n", "3", "--s", "100", flag, ""]) == 2

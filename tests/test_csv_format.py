@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circfourier import SampleBatch
-from circfourier.batch import _BLOCK_ROWS
+from circfourier.model import _BLOCK
 
 
 def written(samples) -> str:
@@ -95,16 +95,15 @@ def test_special_values():
 
 def test_mixed_blocks_across_a_boundary():
     rng = np.random.default_rng(3)
-    x = rng.uniform(-1.0, 1.0, 2 * _BLOCK_ROWS + 5)
+    x = rng.uniform(-1.0, 1.0, 2 * _BLOCK + 5)
     specials = [0.0, -0.0, 1e-5, -3e-7, 1.0, -1.0, np.nan, np.inf, 1e300, 5e-324]
-    for at in (0, _BLOCK_ROWS - 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-               2 * _BLOCK_ROWS + 4):
+    for at in (0, _BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 4):
         x[at] = specials[at % len(specials)]
-    x[_BLOCK_ROWS - 50 : _BLOCK_ROWS + 50] = rng.choice(specials, 100)
+    x[_BLOCK - 50 : _BLOCK + 50] = rng.choice(specials, 100)
     assert_same(x)
 
 
-@pytest.mark.parametrize("size", [1, 7, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("size", [1, 7, _BLOCK + 1])
 def test_whole_blocks_of_one_kind(size):
     rng = np.random.default_rng(size)
     assert_same(rng.uniform(1.0, 100.0, size))  # every row falls back

@@ -25,7 +25,7 @@ from circfourier import (
     w1_quadrature,
     wrap,
 )
-from circfourier import kernels
+from circfourier import kernels, metrics
 from circfourier.metrics import NumericalError
 
 
@@ -47,7 +47,7 @@ class TestRejectionSampling:
         assert p_hat == pytest.approx(1.0 / batch.meta["hat_mass"], abs=0.02)
 
     def test_bills_one_eval_per_proposal(self):
-        # in one chunk, and in four of _REJECTION_CHUNK = 2^15 proposals
+        # from a first pass of S proposals, and from passes of 2^14
         m = FourierDensity([1.0, 1.0])
         for size in (10**4, 10**5):
             c = EvalCounter()
@@ -100,7 +100,7 @@ class TestRejectionSampling:
 
     def test_memory_flat_in_size(self):
         """Traced peak of one call stays within its output plus a fixed
-        number of proposal chunks, at any S."""
+        number of proposal passes, at any S."""
         m = random_density(200, 0)
         for size in (100_000, 400_000):
             tracemalloc.start()
@@ -111,6 +111,24 @@ class TestRejectionSampling:
                 tracemalloc.stop()
             nbytes = batch.samples.nbytes
             assert peak <= 2 * nbytes + 12 * 2**20, (size, peak / 2**20)
+
+    @pytest.mark.parametrize("size", [1, 1000, 3 * 2**14 + 7])
+    def test_last_sample_is_last_proposal(self, size, monkeypatch):
+        """No pass draws past the S-th acceptance: the last sample is the
+        last proposal drawn, and every proposal drawn is billed."""
+        draw, drawn = metrics._draw, []
+
+        def recording(*args):
+            j, x = draw(*args)
+            drawn.append(x)
+            return j, x
+
+        monkeypatch.setattr(metrics, "_draw", recording)
+        c = EvalCounter()
+        batch = rejection_sample(random_density(20, 11), size, 12, c)
+        assert batch.samples[-1] == drawn[-1][-1]
+        proposals = sum(x.size for x in drawn)
+        assert c.pdf_evals == batch.meta["proposals"] == proposals
 
     @pytest.mark.parametrize("cells", [2, 4096, 8192])
     def test_proposal_in_its_closed_cell(self, cells, monkeypatch):
@@ -145,12 +163,12 @@ class TestRejectionSampling:
         assert np.all(q == (cells / 2) * hat[:, None])
 
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
-    @pytest.mark.parametrize("n,size", [(0, 5000), (1, 2 * 10**4), (5, 3), (50, 1)])
+    @pytest.mark.parametrize("n,size", [(0, 5000), (1, 2 * 10**4), (5, 3), (50, 1),
+                                        (1, 10**5), (50, 4 * 10**4)])
     def test_matches_whole_rounds(self, bits, n, size):
-        """A call whose proposals fit in one chunk (1.1 S hat_mass <= 2^15)
-        keeps its stream unchanged: samples, bill and the generator's final
-        state equal those of drawing each round of proposals whole, from
-        the generator's raw draws."""
+        """Samples, bill and the generator's final state equal those of
+        drawing each pass of proposals whole, from the generator's raw
+        draws, in one pass or (S above 2^14) in several."""
         m = random_density(n, 100 + n)
         rng, ref_rng = np.random.Generator(bits(n)), np.random.Generator(bits(n))
         c = EvalCounter()
@@ -162,29 +180,24 @@ class TestRejectionSampling:
 
 
 def _whole_rounds(model, size, rng):
-    """Rejection under the hat, each round of proposals drawn at once: the
-    cells from the hat's alias table (a uniform cell, then a uniform that
-    keeps it or takes its alias), box offsets, then u; x = x_j + (2/L)
-    times the offset, wrapped, accepted when u H_j <= p(x)."""
+    """Rejection under the hat, each pass of min(2^14, S - accepted)
+    proposals drawn at once: the cells from the hat's alias table (a
+    uniform cell, then a uniform that keeps it or takes its alias), box
+    offsets, then u; x = x_j + (2/L) times the offset, wrapped, accepted
+    when u H_j <= p(x)."""
     hat = model._hat()
     cells = hat.size
     table = build_alias(AncestorPmf(hat))
-    mass = np.cumsum(hat)[-1] * 2.0 / cells
     out, collected, proposals = [], 0, 0
     while collected < size:
-        chunk = max(1024, int((size - collected) * mass * 1.1))
-        i = rng.integers(cells, size=chunk)
-        j = np.where(rng.random(chunk) < table.prob[i], i, table.alias[i])
-        x = wrap(-1.0 + (2.0 / cells) * (j + (rng.random(chunk) - 0.5)))
-        u = rng.random(chunk)
-        acc_idx = np.flatnonzero(u * hat[j] <= model.pdf(x))
-        if collected + acc_idx.size >= size:
-            acc_idx = acc_idx[: size - collected]
-            proposals += int(acc_idx[-1]) + 1
-        else:
-            proposals += chunk
-        out.append(x[acc_idx])
-        collected += acc_idx.size
+        n = min(2**14, size - collected)
+        i = rng.integers(cells, size=n)
+        j = np.where(rng.random(n) < table.prob[i], i, table.alias[i])
+        x = wrap(-1.0 + (2.0 / cells) * (j + (rng.random(n) - 0.5)))
+        u = rng.random(n)
+        out.append(x[u * hat[j] <= model.pdf(x)])
+        collected += out[-1].size
+        proposals += n
     return np.concatenate(out), proposals
 
 

@@ -10,7 +10,6 @@ from circfourier import (
     load_density,
     random_density,
     save_density,
-    to_real_line,
 )
 from circfourier.model import PDF_FLOOR
 
@@ -238,23 +237,25 @@ class TestScore:
 
 class TestRealLineTransform:
     def test_identity_at_origin(self):
-        assert to_real_line(0.0, 1.0, 0.0) == 0.0
+        assert FourierDensity([1.0]).to_real_line(0.0) == 0.0
 
     def test_inverse_relation(self):
-        assert to_real_line(math.tanh(1.0), 1.0, 0.0) == pytest.approx(1.0)
+        m = FourierDensity([1.0])
+        assert m.to_real_line(math.tanh(1.0)) == pytest.approx(1.0)
 
     def test_scale_and_offset(self):
-        assert to_real_line(0.5, 2.0, 3.0) == pytest.approx(
+        m = FourierDensity([1.0], scale=2.0, offset=3.0)
+        assert m.to_real_line(0.5) == pytest.approx(
             2 * math.atanh(0.5) + 3, abs=1e-12
         )
 
     def test_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            to_real_line(1.0, 1.0, 0.0)
+            FourierDensity([1.0]).to_real_line(1.0)
 
     def test_strictly_increasing(self):
         xs = np.linspace(-0.999, 0.999, 101)
-        vals = to_real_line(xs, 0.7, -2.0)
+        vals = FourierDensity([1.0], scale=0.7, offset=-2.0).to_real_line(xs)
         assert np.all(np.diff(vals) > 0)
 
     def test_model_carries_transform(self):
