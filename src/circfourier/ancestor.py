@@ -34,7 +34,8 @@ class AncestorPmf:
 
 @dataclass(frozen=True)
 class AliasTable:
-    """Walker/Vose alias table: cell k keeps prob[k], else aliases."""
+    """Walker/Vose alias table: cell k keeps prob[k], else aliases.  alias
+    is int32 while K < 2^31, else int64."""
 
     prob: np.ndarray
     alias: np.ndarray
@@ -48,16 +49,32 @@ class AliasTable:
         return self.prob.size
 
 
+def _grid_pmf(model: FourierDensity, K: int,
+              counter: EvalCounter | None) -> np.ndarray:
+    """probs[k] = (2/K) * p(x_k) in a fresh, writable buffer.  Bills K
+    evals."""
+    vals = model.pdf_grid(K, counter)
+    vals *= 2.0 / K
+    return vals
+
+
 def build_ancestor(model: FourierDensity, K: int,
                    counter: EvalCounter | None = None) -> AncestorPmf:
     """Discretize the density: probs[k] = (2/K) * p(x_k).  Bills K evals."""
-    vals = model.pdf_grid(K, counter)
-    vals *= 2.0 / K
-    return AncestorPmf(probs=vals)
+    return AncestorPmf(probs=_grid_pmf(model, K, counter))
 
 
 def build_alias(pmf: AncestorPmf) -> AliasTable:
-    """Sweeping alias construction in O(K log K), with no per-cell loop.
+    """Sweeping alias construction in O(K log K), with no per-cell loop
+    (_sweep), on a copy of the PMF.  alias is int32 while K < 2^31, else
+    int64.  Raises ValueError unless the weights have a finite, positive
+    sum."""
+    return _sweep(np.array(pmf.probs, dtype=float))
+
+
+def _sweep(w: np.ndarray) -> AliasTable:
+    """The alias table of the cell weights w, built in w's own buffer,
+    which becomes the table's prob.
 
     The cells split, in index order, into lights (scaled weight w < 1) and
     heavies (w >= 1).  A sweep hands each light, in turn, to the current
@@ -81,32 +98,33 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
     keys, so j and i* are non-decreasing: the lights that find a heavy
     (j < number of heavies, that is P_L(i-1) < P_H(last)) and the heavies
     that find an i* (P_H(j) <= P_L(last)) are each a prefix of their list,
-    whose length one binary search gives.  The table is built in the
-    buffer of the scaled weights, with int32 index lists while K < 2^31.
-    Raises ValueError unless the weights have a finite, positive sum.
+    whose length one binary search gives.  The index lists and alias are
+    int32 while K < 2^31; the lists are compressed from alias's arange.
     """
-    probs = np.asarray(pmf.probs, dtype=float)
-    k, total = probs.size, probs.sum()
+    k, total = w.size, w.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise ValueError(f"PMF sums to {total}: cannot normalize")
     # Lights keep their scaled weight, so prob starts as the scaled weights.
-    prob = probs * (k / total)
+    prob = w
+    prob *= k / total
+    alias = np.arange(k, dtype=np.int32 if k < 2**31 else np.int64)
     is_light = prob < 1.0
-    index = np.int32 if k < 2**31 else np.int64
-    lights = np.flatnonzero(is_light).astype(index)
-    heavies = np.flatnonzero(~is_light).astype(index)
+    lights = alias[is_light]
+    heavies = alias[np.logical_not(is_light, out=is_light)]
     del is_light
     # deficit[i] = P_L(i-1): the deficit of the lights before light i.
+    # The lists index prob, so mode "clip" clips nothing and, unlike
+    # "raise", writes straight into out.
     deficit = np.zeros(lights.size + 1)
-    np.subtract(1.0, prob[lights], out=deficit[1:])
+    np.take(prob, lights, out=deficit[1:], mode="clip")
+    np.subtract(1.0, deficit[1:], out=deficit[1:])
     np.cumsum(deficit[1:], out=deficit[1:])
-    surplus = prob[heavies]
+    surplus = np.take(prob, heavies, mode="clip")
     surplus -= 1.0
     np.cumsum(surplus, out=surplus)
     filled = (np.searchsorted(deficit[:-1], surplus[-1], side="left")
               if heavies.size else 0)
     drained = np.searchsorted(surplus, deficit[-1], side="right")
-    alias = np.arange(k)
 
     i_star = np.searchsorted(deficit, surplus[:drained], side="left")
     # 1 + P_H(j) - P_L(i*-1), summed in this order, in surplus's buffer.
@@ -115,6 +133,7 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
     kept -= deficit[i_star]
     prob[heavies[:drained]] = kept
     prob[heavies[drained:]] = 1.0
+    del deficit, surplus, kept
 
     # j(i) = #{h : i*(h) <= i}, a count of the i* and its prefix sum; the
     # heavies past drained have i* beyond every light.

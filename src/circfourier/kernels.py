@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ancestor import (
-    AliasTable, AncestorPmf, build_alias, build_ancestor, sample_ancestors,
+    AliasTable, AncestorPmf, _grid_pmf, _sweep, sample_ancestors,
 )
 from .batch import SampleBatch, begin_draw
 from .model import _BLOCK, EvalCounter, FourierDensity, wrap
@@ -130,19 +130,26 @@ def compound_pdf(pmf: AncestorPmf, kernel: BSplineKernel, x):
             kb += hb
             kb -= degree // 2
         np.add(kb, lead, out=ib, casting="unsafe")
-        for off in range(degree + 1):
-            if off:
-                kb += 1
-            np.subtract(tb, kb, out=ub)
-            np.abs(ub, out=ub)
-            # |u| lies in this band, or on its edge, where both pieces agree
-            kernel.piece(abs(2 * off - degree) // 2, ub, out=ub)
-            np.take(table[off:], ib, out=wb)
-            if off:
-                ub *= wb
-                qb += ub
-            else:
-                np.multiply(ub, wb, out=qb)
+        # t lies in [0, K], so -lead <= k0 <= K and every lead + k0 + off
+        # indexes the table; mode "clip" writes straight into out, "raise"
+        # buffers
+        if degree == 0:  # the box is 1 where it reaches: q is the weight
+            np.take(table, ib, out=qb, mode="clip")
+        else:
+            for off in range(degree + 1):
+                if off:
+                    kb += 1
+                np.subtract(tb, kb, out=ub)
+                np.abs(ub, out=ub)
+                # |u| lies in this band, or on its edge, where both pieces
+                # agree
+                kernel.piece(abs(2 * off - degree) // 2, ub, out=ub)
+                np.take(table[off:], ib, out=wb, mode="clip")
+                if off:
+                    ub *= wb
+                    qb += ub
+                else:
+                    np.multiply(ub, wb, out=qb)
         qb *= half_k
         if off_domain:
             qb[bad] = np.nan
@@ -168,14 +175,14 @@ def grid_ancestral_sample(
 ) -> SampleBatch:
     """Draw `size` approximate samples of the model density.
 
-    Builds the ancestor PMF and alias table once (exactly K model
-    evaluations), keeping only the table, then per sample draws a grid
-    index and a centered kernel offset, placing the kernel at the grid
-    point and wrapping into [-1, 1).
+    Builds the ancestor PMF once (exactly K model evaluations) and its
+    alias table in the PMF's own buffer, keeping only the table, then per
+    sample draws a grid index and a centered kernel offset, placing the
+    kernel at the grid point and wrapping into [-1, 1).
     The evaluation bill is K, independent of `size`.
     """
     seed, rng, counter = begin_draw(size, rng, counter)
-    table = build_alias(build_ancestor(model, K, counter))
+    table = _sweep(_grid_pmf(model, K, counter))
     _, x = _draw(table, kernel, size, rng)
     return SampleBatch(
         samples=x,

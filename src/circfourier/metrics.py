@@ -179,14 +179,25 @@ def w1_bound(n_terms: int, K: int) -> float:
 def kl_monte_carlo(p_samples: SampleBatch, p_eval, q_eval) -> DivergenceReport:
     """Monte Carlo estimate of KL(p || q) from exact samples of p.
 
-    q is floored at 1e-12 inside the log to keep the estimate finite.
+    q is floored at 1e-12 inside the log to keep the estimate finite.  The
+    log ratios are formed in one fresh array, never in what p_eval or
+    q_eval returns, and the mean and the standard deviation (ddof=1) are
+    reduced in that array with the operations, in the order, of np.mean
+    and np.std, so that they equal those bit for bit.
     """
     x = p_samples.samples
     if x.size == 0:
         raise ValueError("empty sample batch")
-    vals = np.log(np.asarray(p_eval(x)) / np.maximum(np.asarray(q_eval(x)), KL_FLOOR))
-    se = float(np.std(vals, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-    return DivergenceReport(float(np.mean(vals)), se)
+    vals = np.maximum(np.asarray(q_eval(x)), KL_FLOOR)
+    np.divide(np.asarray(p_eval(x)), vals, out=vals)
+    np.log(vals, out=vals)
+    mean = vals.sum() / x.size
+    se = 0.0
+    if x.size > 1:
+        vals -= mean
+        np.square(vals, out=vals)
+        se = float(np.sqrt(vals.sum() / (x.size - 1)) / math.sqrt(x.size))
+    return DivergenceReport(float(mean), se)
 
 
 def empirical_w1(xs, ys) -> DivergenceReport:

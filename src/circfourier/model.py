@@ -129,11 +129,13 @@ class FourierDensity:
 
     def pdf_grid(self, K: int, counter: EvalCounter | None = None) -> np.ndarray:
         """Density at the K >= 2N+1 grid points x_k = -1 + 2k/K, from
-        A = _grid(a, K), a pruned FFT; |A|^2 in one real buffer.  Unclamped:
-        the values are non-negative by construction and never logged."""
+        A = _grid(a, K), a pruned FFT whose blocks are squared straight
+        into the one real buffer it returns, |A|^2/(2 c_0).  Unclamped: the
+        values are non-negative by construction and never logged."""
         K = _check_grid_size(self.n_terms, K)
         vals = np.empty(K)
-        _squared_modulus(_grid(self.amplitudes, K), 2.0 * self._c0, vals)
+        for dest, A in _grid(self.amplitudes, K, vals):
+            _squared_modulus(A, 2.0 * self._c0, dest)
         if counter is not None:
             counter.pdf_evals += K
         return vals
@@ -292,21 +294,18 @@ def _taylor_table(s, real: bool) -> np.ndarray:
     """rows[m][j] = sum_n s_n (-i n)^m/m! u_j^n, the Taylor coefficients
     of sum_n s_n u^n at u = e^{-i theta} about the angles pi x_j of the L
     anchors x_j = -1 + 2j/L; (L, M) from _table_shape.  Each row is one
-    _grid, written in place, or only its real part when `real`.
-    Read-only."""
+    _grid, its blocks copied into the row, or only their real parts when
+    `real`.  Read-only."""
     size, order = _table_shape(s.size - 1)
     rows = np.empty((order + 1, size), float if real else complex)
-    row = np.empty(size, complex) if real else None
     step = np.arange(s.size) * -1j
     term = s.astype(complex)
     for m in range(order + 1):
         if m:
             term *= step
             term /= m
-        if real:
-            rows[m] = _grid(term, size, out=row).real
-        else:
-            _grid(term, size, out=rows[m])
+        for dest, B in _grid(term, size, rows[m]):
+            dest[...] = B.real if real else B
     rows.setflags(write=False)
     return rows
 
@@ -373,19 +372,26 @@ def _taylor(rows, x, out=None, slope: bool = False):
         yield sl, pb, wb
 
 
-def _grid(s, K: int, out=None) -> np.ndarray:
+def _grid(s, K: int, out):
     """sum_n s_n u^n at u_k = e^{-i pi x_k}, x_k = -1 + 2k/K: the DFT of
     t_n = (-1)^n s_n zero-padded to K, as u_k^n = (-1)^n w^{nk} with
     w = e^{-2 pi i/K}, pruned to the N+1 taps (Markel 1971).
 
     With K = Q P, Q the least divisor of K that is at least N+1, and
     k = k1 + P k2, X[k] = sum_{n<Q} (t_n w^{n k1}) e^{-2 pi i n k2/Q}: one
-    length-Q FFT down each column of a (Q, P) array whose rows n <= N
-    hold t_n w^{n k1} and the rest zeros, O(K log Q) in all, and in C
-    order the result is indexed by k.  The twiddle w^{n k1}, k1 = R h + l
-    with R a divisor of P near sqrt(P), is w^{n R h} w^{n l}, from two
-    small tables.  A prime K gives Q = K and P = 1 when N >= 1: the plain
-    zero-padded FFT.  Written into `out` (K complex) when given.
+    length-Q FFT down each column k1 of a (Q, P) array whose rows n <= N
+    hold t_n w^{n k1} and the rest zeros, O(K log Q) in all.  The twiddle
+    w^{n k1}, k1 = R h + l with R a divisor of P near sqrt(P), is
+    w^{n R h} w^{n l}, from two small tables.  A prime K gives Q = K and
+    P = 1 when N >= 1: the plain zero-padded FFT.
+
+    Yields (dest, B) for h = 0..P/R-1: B, complex (Q, R), holds the
+    columns R h .. R h + R - 1 of the transformed array, and dest is the
+    view of `out` (K values, of any type) where they belong, X[k] at
+    out[k].  The caller writes B, or what it makes of B, into dest.  B is
+    one work array, which the next block overwrites, so the transform
+    never holds more than one block beyond `out`; a caller may use B as
+    scratch.
     """
     Q = _least_divisor(K, s.size)
     P = K // Q
@@ -395,11 +401,13 @@ def _grid(s, K: int, out=None) -> np.ndarray:
     coarse = np.exp(n * np.arange(0, P, R) * (-2j * np.pi / K))
     coarse *= s[:, None] * (-1.0) ** n
     fine = np.exp(n * np.arange(R) * (-2j * np.pi / K))
-    Y = (np.empty(K, complex) if out is None else out).reshape(Q, P)
-    Y[s.size :] = 0.0
-    np.multiply(coarse[:, :, None], fine[:, None, :],
-                out=Y[: s.size].reshape(s.size, P // R, R))
-    return np.fft.fft(Y, axis=0, out=Y).reshape(-1)
+    # in C order, X[k1 + P k2] is row k2, column k1 of out viewed as (Q, P)
+    columns = out.reshape(Q, P)
+    B = np.empty((Q, R), complex)
+    for h in range(P // R):
+        B[s.size :] = 0.0
+        np.multiply(coarse[:, h, None], fine, out=B[: s.size])
+        yield columns[:, R * h : R * h + R], np.fft.fft(B, axis=0, out=B)
 
 
 def _least_divisor(K: int, m: int) -> int:
