@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EvalCounter, FourierDensity
+from .model import _BLOCK, EvalCounter, FourierDensity
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,9 @@ def _sweep(w: np.ndarray) -> AliasTable:
       P_L(i*-1) >= P_H(j) (past the last light, the total deficit), and
       aliases the next heavy;
     - light i keeps w_i and aliases the first heavy j with P_H(j) > P_L(i-1),
-      that is j = #{h : i*(h) <= i}, so one binary search, of the heavies
-      into the deficit prefix, serves both.
+      that is j = #{h : i*(h) <= i}: lights i*(j-1) to i*(j) - 1 (from
+      light 0 for j = 0) alias heavy j, so one binary search, of the
+      heavies into the deficit prefix, serves both.
 
     Zero cells are lights that keep 0.  A cell left over by rounding, a
     light with no heavy or a heavy with no i*, keeps 1 and aliases itself.
@@ -100,6 +101,13 @@ def _sweep(w: np.ndarray) -> AliasTable:
     that find an i* (P_H(j) <= P_L(last)) are each a prefix of their list,
     whose length one binary search gives.  The index lists and alias are
     int32 while K < 2^31; the lists are compressed from alias's arange.
+
+    Beyond w, the sweep holds alias, the two index lists and the two
+    prefix sums (20 bytes a cell at int32) and arrays of one _BLOCK: it
+    gathers into the prefix sums, and takes the drained heavies, one block
+    at a time.  The one longer array holds the aliases of the lights that
+    one block of heavies fills: every light, when one heavy fills them
+    all.
     """
     k, total = w.size, w.sum()
     if not (np.isfinite(total) and total > 0.0):
@@ -113,35 +121,41 @@ def _sweep(w: np.ndarray) -> AliasTable:
     heavies = alias[np.logical_not(is_light, out=is_light)]
     del is_light
     # deficit[i] = P_L(i-1): the deficit of the lights before light i.
-    # The lists index prob, so mode "clip" clips nothing and, unlike
+    # np.take copies int32 indices to intp, so it gathers a block at a
+    # time; the lists index prob, so mode "clip" clips nothing and, unlike
     # "raise", writes straight into out.
     deficit = np.zeros(lights.size + 1)
-    np.take(prob, lights, out=deficit[1:], mode="clip")
+    surplus = np.empty(heavies.size)
+    for cells, out in ((lights, deficit[1:]), (heavies, surplus)):
+        for lo in range(0, cells.size, _BLOCK):
+            np.take(prob, cells[lo : lo + _BLOCK], out=out[lo : lo + _BLOCK],
+                    mode="clip")
     np.subtract(1.0, deficit[1:], out=deficit[1:])
     np.cumsum(deficit[1:], out=deficit[1:])
-    surplus = np.take(prob, heavies, mode="clip")
     surplus -= 1.0
     np.cumsum(surplus, out=surplus)
     filled = (np.searchsorted(deficit[:-1], surplus[-1], side="left")
               if heavies.size else 0)
     drained = np.searchsorted(surplus, deficit[-1], side="right")
 
-    i_star = np.searchsorted(deficit, surplus[:drained], side="left")
-    # 1 + P_H(j) - P_L(i*-1), summed in this order, in surplus's buffer.
-    kept = surplus[:drained]
-    kept += 1.0
-    kept -= deficit[i_star]
-    prob[heavies[:drained]] = kept
+    # i* <= filled for every drained heavy, so the runs stay among the
+    # lights that find a heavy; start is the first light not yet aliased.
+    start = 0
+    for lo in range(0, drained, _BLOCK):
+        hi = min(lo + _BLOCK, drained)
+        i_star = np.searchsorted(deficit, surplus[lo:hi], side="left")
+        alias[lights[start : i_star[-1]]] = np.repeat(
+            heavies[lo:hi], np.diff(i_star, prepend=start))
+        start = i_star[-1]
+        # 1 + P_H(j) - P_L(i*-1), summed in this order, in surplus's buffer.
+        kept = surplus[lo:hi]
+        kept += 1.0
+        kept -= deficit[i_star]
+        prob[heavies[lo:hi]] = kept
+    # The lights past the last drained heavy's i* have j = drained.
+    if start < filled:
+        alias[lights[start:filled]] = heavies[drained]
     prob[heavies[drained:]] = 1.0
-    del deficit, surplus, kept
-
-    # j(i) = #{h : i*(h) <= i}, a count of the i* and its prefix sum; the
-    # heavies past drained have i* beyond every light.
-    j = np.bincount(i_star, minlength=filled)[:filled]
-    del i_star
-    np.cumsum(j, out=j)
-    alias[lights[:filled]] = heavies[j]
-    del j
     prob[lights[filled:]] = 1.0
     # Each drained heavy aliases the next; the last heavy has no successor
     # and keeps 1 up to rounding.

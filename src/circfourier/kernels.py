@@ -180,12 +180,20 @@ def grid_ancestral_sample(
     sample draws a grid index and a centered kernel offset, placing the
     kernel at the grid point and wrapping into [-1, 1).
     The evaluation bill is K, independent of `size`.
+
+    The draws go in passes of at most _BLOCK samples, each one _draw on
+    `rng` written into the output, so memory beyond the output and the
+    table is one pass's arrays, flat in `size`.  A batch of at most
+    _BLOCK samples is one _draw.
     """
     seed, rng, counter = begin_draw(size, rng, counter)
     table = _sweep(_grid_pmf(model, K, counter))
-    _, x = _draw(table, kernel, size, rng)
+    samples = np.empty(size)
+    for lo in range(0, size, _BLOCK):
+        step = min(_BLOCK, size - lo)
+        samples[lo : lo + step] = _draw(table, kernel, step, rng)[1]
     return SampleBatch(
-        samples=x,
+        samples=samples,
         seed=seed,
         counter=counter,
         meta={"K": int(K), "D": kernel.degree},

@@ -1,7 +1,9 @@
 """Property tests of the sweeping alias construction in build_alias."""
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from circfourier import (
@@ -14,6 +16,8 @@ from circfourier import (
     random_density,
     reconstruct_pmf,
 )
+from circfourier.ancestor import _sweep
+from circfourier.model import _BLOCK
 
 FINE_K = 2**21  # tv_bound(200, FINE_K) = 3e-6
 
@@ -179,6 +183,95 @@ def test_bit_equal_to_masked_reference(w):
     assert_bit_equal(build_alias(pmf), masked_sweep_reference(pmf))
 
 
+class SweepShape(NamedTuple):
+    """Which parts of the blocked sweep a case reaches."""
+
+    filled: int   # lights that find a heavy
+    drained: int  # heavies that find an i*
+    heavies: int
+    last: int     # i* of the last drained heavy, 0 if none
+
+
+def sweep_shape(w):
+    """The SweepShape of w, from the masked reference's prefix sums."""
+    scaled = w * (w.size / w.sum())
+    is_light = scaled < 1.0
+    deficit = np.concatenate([[0.0], np.cumsum(1.0 - scaled[is_light])])
+    surplus = np.cumsum(scaled[~is_light] - 1.0)
+    filled = (np.searchsorted(deficit[:-1], surplus[-1], side="left")
+              if surplus.size else 0)
+    drained = np.searchsorted(surplus, deficit[-1], side="right")
+    last = (np.searchsorted(deficit, surplus[drained - 1], side="left")
+            if drained else 0)
+    return SweepShape(filled, drained, surplus.size, last)
+
+
+def uniform_random(k, seed):
+    return np.random.default_rng(seed).random(k)
+
+
+def one_hot(k, cell):
+    return np.eye(1, k, cell % k).ravel()
+
+
+def heavy_first(seed):
+    """A heavy at cell 0, then _BLOCK random lights."""
+    w = uniform_random(_BLOCK + 1, seed)
+    w[0] = _BLOCK / 2
+    return w
+
+
+def big_heavy():
+    """Weights uniform on [0, 2) with one cell of 2 * _BLOCK, at
+    7 * _BLOCK."""
+    w = 2.0 * uniform_random(8 * _BLOCK, 1)
+    w[7 * _BLOCK] = 2.0 * _BLOCK
+    return w
+
+
+# name: (weights, what the case must reach, from its SweepShape s and the
+# reference table ref).  The sweep gathers its lists and takes its drained
+# heavies one _BLOCK at a time; each case sits at one edge of that.  Which
+# part a random case reaches depends on rounding, so each is checked.
+BLOCK_CASES = {
+    **{f"random-K={k}": (lambda k=k: uniform_random(k, k),
+                         lambda s, ref: True)
+       for k in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 2**17)},
+    # lights 0.5 and heavies 1.5, alternating: n of each, all drained
+    **{f"balanced-n={n}": (lambda n=n: np.tile([0.5, 1.5], n),
+                           lambda s, ref, n=n: s.drained == s.heavies == n)
+       for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1)},
+    # one heavy fills every other cell, a run longer than a block
+    **{f"one-hot-{end}": (lambda cell=cell: one_hot(3 * _BLOCK + 7, cell),
+                          lambda s, ref: s.drained == 1
+                          and s.last == 3 * _BLOCK + 6)
+       for end, cell in (("first", 0), ("last", -1))},
+    # the run of one heavy among many is longer than a block
+    "big-heavy-run": (big_heavy, lambda s, ref: s.drained > _BLOCK
+                      and np.count_nonzero(ref.alias == 7 * _BLOCK)
+                      > _BLOCK + 1),
+    # lights left after the last drained heavy's i*: they alias the first
+    # heavy not drained
+    "tail-after-drained": (lambda: uniform_random(3 * _BLOCK + 7, 0),
+                           lambda s, ref: s.drained < s.heavies
+                           and s.last < s.filled),
+    # the one heavy is not drained: every light aliases it
+    "no-drained-heavy": (lambda: heavy_first(0), lambda s, ref:
+                         s.drained == 0 < s.heavies and s.filled == _BLOCK),
+    "no-drained-heavy-small": (lambda: np.array([0.75, 0.5]),
+                               lambda s, ref: s[:3] == (1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_sweep_bit_equal_at_block_edges(name):
+    make, reaches = BLOCK_CASES[name]
+    w = make()
+    ref = masked_sweep_reference(AncestorPmf(w.copy()))
+    assert reaches(sweep_shape(w), ref)
+    assert_bit_equal(_sweep(w), ref)
+
+
 def test_fine_grid_model_pmf():
     pmf = build_ancestor(random_density(200, 7), FINE_K)
     table = build_alias(pmf)
@@ -190,16 +283,18 @@ def test_fine_grid_memory():
     """Peak memory beyond the input, per grid cell: the table itself is 12
     bytes a cell, and the masked reference's build peaked at 59.  The grid
     is one float buffer, 8 bytes a cell, which the grid path sweeps in
-    place; the peaks measured were 8.6, 29.7 and 29.7."""
+    place beside alias, the index lists and the prefix sums (20 bytes a
+    cell), and the draws go in blocks; the peaks measured were 8.6, 24.3
+    and 24.3."""
     model = random_density(200, 7)
     grid, peak = traced_peak(model.pdf_grid, FINE_K)
     assert peak <= 10 * FINE_K, peak / FINE_K
     del grid
     pmf = build_ancestor(model, FINE_K)
     table, peak = traced_peak(build_alias, pmf)
-    assert peak <= 31 * FINE_K, peak / FINE_K
+    assert peak <= 25 * FINE_K, peak / FINE_K
     del pmf, table
     batch, peak = traced_peak(grid_ancestral_sample, model, FINE_K,
                               BSplineKernel(1), 10**6, 5)
     assert batch.samples.size == 10**6
-    assert peak <= 31 * FINE_K, peak / FINE_K
+    assert peak <= 25 * FINE_K, peak / FINE_K

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -9,12 +10,16 @@ from circfourier import (
     BSplineKernel,
     EvalCounter,
     FourierDensity,
+    build_alias,
     build_ancestor,
     compound_pdf,
     grid_ancestral_sample,
     random_density,
     wrap,
 )
+from circfourier.cli import main
+from circfourier.kernels import _draw
+from circfourier.model import _BLOCK
 
 
 def five_offset_compound_pdf(pmf, kernel, x):
@@ -343,3 +348,31 @@ class TestGridAncestralSample:
         batch = grid_ancestral_sample(m, 3, BSplineKernel(2), 10**5, 21)
         assert batch.samples.min() >= -1.0
         assert batch.samples.max() < 1.0
+
+    @pytest.mark.parametrize("size", [1, 1000, _BLOCK])
+    def test_one_block_is_one_draw(self, size):
+        # a batch of at most _BLOCK samples draws as before the blocking
+        m, kernel = random_density(8, 4), BSplineKernel(1)
+        table = build_alias(build_ancestor(m, 64))
+        batch = grid_ancestral_sample(m, 64, kernel, size, 17)
+        _, x = _draw(table, kernel, size, np.random.default_rng(17))
+        assert batch.samples.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_blocks_draw_in_turn_from_one_stream(self, degree):
+        m, kernel = random_density(8, 4), BSplineKernel(degree)
+        table = build_alias(build_ancestor(m, 64))
+        batch = grid_ancestral_sample(m, 64, kernel, 2 * _BLOCK + 1, 17)
+        rng = np.random.default_rng(17)
+        x = np.concatenate([_draw(table, kernel, n, rng)[1]
+                            for n in (_BLOCK, _BLOCK, 1)])
+        assert batch.samples.tobytes() == x.tobytes()
+
+    def test_rejection_csv_pinned(self, tmp_path):
+        # rejection draws its proposals through _draw, which the blocked
+        # grid draw left as it was: its CSV keeps its bytes
+        out = tmp_path / "rej.csv"
+        assert main(["sample", "--method", "rejection", "--n", "20",
+                     "--s", "40000", "--seed", "3", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "41c3b0e788ed6b2e6d6493cd1c20905a2aa9b63b0594bcd660d2cca571242fea")
