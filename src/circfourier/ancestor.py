@@ -72,6 +72,23 @@ def build_alias(pmf: AncestorPmf) -> AliasTable:
     return _sweep(np.array(pmf.probs, dtype=float))
 
 
+def _prefix(prob: np.ndarray, cells: np.ndarray, carry: float,
+            sign: float) -> np.ndarray:
+    """[carry, carry + d_0, carry + d_0 + d_1, ...], with d the values
+    sign * (prob[cells] - 1): one block of a prefix sum, added in the order
+    of one np.cumsum over the whole list.  np.take copies int32 indices to
+    intp, so cells is one block; they index prob, so mode "clip" clips
+    nothing and, unlike "raise", writes straight into out."""
+    out = np.empty(cells.size + 1)
+    out[0] = carry
+    np.take(prob, cells, out=out[1:], mode="clip")
+    if sign > 0.0:
+        out[1:] -= 1.0
+    else:
+        np.subtract(1.0, out[1:], out=out[1:])
+    return np.cumsum(out, out=out)
+
+
 def _sweep(w: np.ndarray) -> AliasTable:
     """The alias table of the cell weights w, built in w's own buffer,
     which becomes the table's prob.
@@ -95,19 +112,23 @@ def _sweep(w: np.ndarray) -> AliasTable:
     Zero cells are lights that keep 0.  A cell left over by rounding, a
     light with no heavy or a heavy with no i*, keeps 1 and aliases itself.
 
-    The searches run over non-decreasing prefix sums with non-decreasing
-    keys, so j and i* are non-decreasing: the lights that find a heavy
-    (j < number of heavies, that is P_L(i-1) < P_H(last)) and the heavies
-    that find an i* (P_H(j) <= P_L(last)) are each a prefix of their list,
-    whose length one binary search gives.  The index lists and alias are
-    int32 while K < 2^31; the lists are compressed from alias's arange.
+    Both prefix sums are non-decreasing, so i* is non-decreasing in j, and
+    the search is a merge of two streams of one _BLOCK each: a window of
+    the deficit prefix, P_L(a-1) to P_L(a+_BLOCK-1), and one block of the
+    surplus prefix.  Each starts from the sum of the blocks before it, so
+    it adds in the order of one cumsum over the whole list.  The heavies
+    whose P_H is at most the window's last entry find their i* in it; at
+    the first that does not, the window slides on, and the lights it
+    passes alias that heavy, so a run of lights longer than a block is
+    written one window at a time.  A heavy that outlasts the last window is
+    never drained: it and every heavy after it keep 1, and every light
+    not yet aliased aliases it.  If every heavy is drained, the lights
+    past the last i* find no heavy.  The index lists and alias are int32
+    while K < 2^31; the lists are compressed from alias's arange.
 
-    Beyond w, the sweep holds alias, the two index lists and the two
-    prefix sums (20 bytes a cell at int32) and arrays of one _BLOCK: it
-    gathers into the prefix sums, and takes the drained heavies, one block
-    at a time.  The one longer array holds the aliases of the lights that
-    one block of heavies fills: every light, when one heavy fills them
-    all.
+    Beyond w, the sweep holds alias and the two index lists (8 bytes a
+    cell at int32) and arrays of one _BLOCK.  Its peak, about 9 bytes a
+    cell, comes while the lists are compressed by a boolean mask.
     """
     k, total = w.size, w.sum()
     if not (np.isfinite(total) and total > 0.0):
@@ -120,47 +141,54 @@ def _sweep(w: np.ndarray) -> AliasTable:
     lights = alias[is_light]
     heavies = alias[np.logical_not(is_light, out=is_light)]
     del is_light
-    # deficit[i] = P_L(i-1): the deficit of the lights before light i.
-    # np.take copies int32 indices to intp, so it gathers a block at a
-    # time; the lists index prob, so mode "clip" clips nothing and, unlike
-    # "raise", writes straight into out.
-    deficit = np.zeros(lights.size + 1)
-    surplus = np.empty(heavies.size)
-    for cells, out in ((lights, deficit[1:]), (heavies, surplus)):
-        for lo in range(0, cells.size, _BLOCK):
-            np.take(prob, cells[lo : lo + _BLOCK], out=out[lo : lo + _BLOCK],
-                    mode="clip")
-    np.subtract(1.0, deficit[1:], out=deficit[1:])
-    np.cumsum(deficit[1:], out=deficit[1:])
-    surplus -= 1.0
-    np.cumsum(surplus, out=surplus)
-    filled = (np.searchsorted(deficit[:-1], surplus[-1], side="left")
-              if heavies.size else 0)
-    drained = np.searchsorted(surplus, deficit[-1], side="right")
-
-    # i* <= filled for every drained heavy, so the runs stay among the
-    # lights that find a heavy; start is the first light not yet aliased.
-    start = 0
-    for lo in range(0, drained, _BLOCK):
-        hi = min(lo + _BLOCK, drained)
-        i_star = np.searchsorted(deficit, surplus[lo:hi], side="left")
-        alias[lights[start : i_star[-1]]] = np.repeat(
-            heavies[lo:hi], np.diff(i_star, prepend=start))
-        start = i_star[-1]
-        # 1 + P_H(j) - P_L(i*-1), summed in this order, in surplus's buffer.
-        kept = surplus[lo:hi]
-        kept += 1.0
-        kept -= deficit[i_star]
-        prob[heavies[lo:hi]] = kept
-    # The lights past the last drained heavy's i* have j = drained.
-    if start < filled:
-        alias[lights[start:filled]] = heavies[drained]
-    prob[heavies[drained:]] = 1.0
-    prob[lights[filled:]] = 1.0
-    # Each drained heavy aliases the next; the last heavy has no successor
-    # and keeps 1 up to rounding.
-    successor = heavies[1 : drained + 1]
-    alias[heavies[: successor.size]] = successor
+    # window[i - a] = P_L(i-1) for lights a to a + _BLOCK; surplus[j - lo]
+    # = P_H(j) for heavies lo to hi - 1.  start is the first light not yet
+    # aliased, drained the first heavy without its i*.
+    a, window = 0, _prefix(prob, lights[:_BLOCK], 0.0, -1.0)
+    lo = hi = start = drained = 0
+    carry = 0.0
+    while drained < heavies.size:
+        if drained == hi:
+            lo, hi = hi, min(hi + _BLOCK, heavies.size)
+            surplus = _prefix(prob, heavies[lo:hi], carry, 1.0)[1:]
+            carry = surplus[-1]
+        rest = surplus[drained - lo :]
+        n = np.searchsorted(rest, window[-1], side="right")
+        if n:
+            at = np.searchsorted(window, rest[:n], side="left")
+            cells = heavies[drained : drained + n]
+            # 1 + P_H(j) - P_L(i*-1), summed in this order, in surplus's
+            # buffer.
+            kept = rest[:n]
+            kept += 1.0
+            kept -= window[at]
+            prob[cells] = kept
+            # at becomes i*: lights i*(j-1) to i*(j) - 1 alias heavy j.
+            at += a
+            alias[lights[start : at[-1]]] = np.repeat(
+                cells, np.diff(at, prepend=start))
+            start = at[-1]
+            # Each drained heavy aliases the next; the last heavy has no
+            # successor and keeps 1 up to rounding.
+            successor = heavies[drained + 1 : drained + n + 1]
+            alias[cells[: successor.size]] = successor
+            drained += n
+        if drained < hi:
+            if a + window.size > lights.size:
+                break
+            # The lights the window passes alias heavy drained, whose i* is
+            # past them: a run is written one window at a time.
+            a += _BLOCK
+            alias[lights[start:a]] = heavies[drained]
+            start = a
+            window = _prefix(prob, lights[a : a + _BLOCK], window[-1], -1.0)
+    if drained < heavies.size:
+        alias[lights[start:]] = heavies[drained]
+    else:
+        for i in range(start, lights.size, _BLOCK):
+            prob[lights[i : i + _BLOCK]] = 1.0
+    # Heavies never drained keep their weights, at least 1, which the clip
+    # makes 1.
     np.clip(prob, 0.0, 1.0, out=prob)
     return AliasTable(prob=prob, alias=alias)
 

@@ -10,6 +10,7 @@ from circfourier import (
     AliasTable,
     AncestorPmf,
     BSplineKernel,
+    ancestor,
     build_alias,
     build_ancestor,
     grid_ancestral_sample,
@@ -183,13 +184,32 @@ def test_bit_equal_to_masked_reference(w):
     assert_bit_equal(build_alias(pmf), masked_sweep_reference(pmf))
 
 
+@settings(max_examples=100, deadline=None)
+@given(w=weights(max_k=2**10))
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_bit_equal_at_small_blocks(block, w):
+    """With blocks of a few cells, every window slide and every carry of
+    the merge runs on every example."""
+    pmf = AncestorPmf(w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ancestor, "_BLOCK", block)
+        table = build_alias(pmf)
+    assert_bit_equal(table, masked_sweep_reference(pmf))
+
+
 class SweepShape(NamedTuple):
     """Which parts of the blocked sweep a case reaches."""
 
-    filled: int   # lights that find a heavy
-    drained: int  # heavies that find an i*
+    filled: int          # lights that find a heavy
+    drained: int         # heavies that find an i*
     heavies: int
-    last: int     # i* of the last drained heavy, 0 if none
+    i_star: np.ndarray   # i* of each drained heavy
+    tied: np.ndarray     # whether that heavy's P_H equals P_L(i*-1)
+
+    @property
+    def last(self):
+        """i* of the last drained heavy, 0 if none."""
+        return self.i_star[-1] if self.drained else 0
 
 
 def sweep_shape(w):
@@ -201,9 +221,9 @@ def sweep_shape(w):
     filled = (np.searchsorted(deficit[:-1], surplus[-1], side="left")
               if surplus.size else 0)
     drained = np.searchsorted(surplus, deficit[-1], side="right")
-    last = (np.searchsorted(deficit, surplus[drained - 1], side="left")
-            if drained else 0)
-    return SweepShape(filled, drained, surplus.size, last)
+    i_star = np.searchsorted(deficit, surplus[:drained], side="left")
+    return SweepShape(filled, drained, surplus.size, i_star,
+                      deficit[i_star] == surplus[:drained])
 
 
 def uniform_random(k, seed):
@@ -221,6 +241,13 @@ def heavy_first(seed):
     return w
 
 
+def rescaled_random(k, seed):
+    """Weights uniform on [0, 2), rescaled to sum to k up to rounding."""
+    w = 2.0 * uniform_random(k, seed)
+    w *= k / w.sum()
+    return w
+
+
 def big_heavy():
     """Weights uniform on [0, 2) with one cell of 2 * _BLOCK, at
     7 * _BLOCK."""
@@ -230,9 +257,10 @@ def big_heavy():
 
 
 # name: (weights, what the case must reach, from its SweepShape s and the
-# reference table ref).  The sweep gathers its lists and takes its drained
-# heavies one _BLOCK at a time; each case sits at one edge of that.  Which
-# part a random case reaches depends on rounding, so each is checked.
+# reference table ref).  The sweep merges a window of _BLOCK lights'
+# deficit prefix with a block of _BLOCK heavies' surplus prefix; each case
+# sits at one edge of that.  Which part a random case reaches depends on
+# rounding, so each is checked.
 BLOCK_CASES = {
     **{f"random-K={k}": (lambda k=k: uniform_random(k, k),
                          lambda s, ref: True)
@@ -260,6 +288,31 @@ BLOCK_CASES = {
                          s.drained == 0 < s.heavies and s.filled == _BLOCK),
     "no-drained-heavy-small": (lambda: np.array([0.75, 0.5]),
                                lambda s, ref: s[:3] == (1, 0, 1)),
+    # two lights of weight 0, then 2 * _BLOCK heavies of surplus 2^-14 that
+    # they drain, then lights and heavies of 0.5 and 1.5: the first window
+    # drains two blocks of heavies before it slides
+    "window-drains-blocks": (lambda: np.concatenate(
+        [[0.0, 0.0], np.full(2 * _BLOCK, 1.0 + 2.0**-14),
+         np.tile([0.5, 1.5], _BLOCK)]),
+        lambda s, ref: s.drained == s.heavies
+        and np.count_nonzero(s.i_star <= _BLOCK) > _BLOCK),
+    # four lights of 0.75, then a heavy of 2, exactly: heavy j has i* =
+    # 4(j+1), with P_H(j) = P_L(i*-1), so heavies end exactly at the last
+    # entry of the windows ending at _BLOCK and 2 * _BLOCK
+    "tie-at-window-edge": (lambda: np.tile([0.75] * 4 + [2.0],
+                                           _BLOCK // 2 + 1),
+                           lambda s, ref: np.all(s.tied)
+                           and {_BLOCK, 2 * _BLOCK} <= set(s.i_star)),
+    # a rounding excess leaves a heavy of the random part undrained, and
+    # the unit cells after it: the last window runs out of lights halfway
+    # through a block of heavies
+    "lights-run-out-mid-block": (lambda: np.concatenate(
+        [rescaled_random(3 * _BLOCK + 7, 0), np.ones(_BLOCK)]),
+        lambda s, ref: 0 < s.drained % _BLOCK
+        and s.heavies - s.drained > _BLOCK and s.filled > _BLOCK),
+    # every cell has weight exactly 1: no lights, and every heavy drained
+    "all-heavy": (lambda: np.ones(2 * _BLOCK + 1),
+                  lambda s, ref: s.heavies == s.drained == 2 * _BLOCK + 1),
 }
 
 
@@ -283,18 +336,30 @@ def test_fine_grid_memory():
     """Peak memory beyond the input, per grid cell: the table itself is 12
     bytes a cell, and the masked reference's build peaked at 59.  The grid
     is one float buffer, 8 bytes a cell, which the grid path sweeps in
-    place beside alias, the index lists and the prefix sums (20 bytes a
-    cell), and the draws go in blocks; the peaks measured were 8.6, 24.3
-    and 24.3."""
+    place beside alias and the index lists (8 bytes a cell), and the
+    sweep's prefix sums and the draws go in blocks; the peaks measured
+    were 8.6, 17.0 and 17.0, at the boolean mask the index lists are
+    compressed by."""
     model = random_density(200, 7)
     grid, peak = traced_peak(model.pdf_grid, FINE_K)
     assert peak <= 10 * FINE_K, peak / FINE_K
     del grid
     pmf = build_ancestor(model, FINE_K)
     table, peak = traced_peak(build_alias, pmf)
-    assert peak <= 25 * FINE_K, peak / FINE_K
+    assert peak <= 18 * FINE_K, peak / FINE_K
     del pmf, table
     batch, peak = traced_peak(grid_ancestral_sample, model, FINE_K,
                               BSplineKernel(1), 10**6, 5)
     assert batch.samples.size == 10**6
-    assert peak <= 25 * FINE_K, peak / FINE_K
+    assert peak <= 18 * FINE_K, peak / FINE_K
+
+
+def test_long_run_memory():
+    """One heavy fills every other cell: the sweep writes that run one
+    window of lights at a time, so a one-hot PMF peaks where the grid
+    path does.  Measured 17.0 bytes a cell, and 20.1 with the run written
+    at once."""
+    pmf = AncestorPmf(one_hot(FINE_K, -1))
+    table, peak = traced_peak(build_alias, pmf)
+    assert peak <= 18 * FINE_K, peak / FINE_K
+    assert np.all(table.alias[:-1] == FINE_K - 1)
