@@ -39,14 +39,19 @@ class SampleBatch:
         return self.samples.size
 
     def manifest_lines(self) -> list[str]:
+        """The '#' lines: seed, grid and size; the ledger; then meta, by
+        key.  The ledger of a run that scored a point names its clamp and
+        fallback counts before the total.  That of a run that did not
+        names neither, so that the bytes of a pdf-only run's CSV, such as
+        rejection's, do not depend on where its points fell back."""
         seed = self.seed if self.seed is not None else ""
         grid = "".join(f" {k}={self.meta[k]}" for k in ("K", "D") if k in self.meta)
         lines = [f"# seed={seed}{grid} S={self.size}"]
-        lines.append(
-            f"# pdf_evals={self.counter.pdf_evals}"
-            f" score_evals={self.counter.score_evals}"
-            f" total_evals={self.counter.total_evals}"
-        )
+        c = self.counter
+        counts = (f" clamps={c.clamps} fallbacks={c.fallbacks}"
+                  if c.score_evals else "")
+        lines.append(f"# pdf_evals={c.pdf_evals} score_evals={c.score_evals}"
+                     f"{counts} total_evals={c.total_evals}")
         for key in sorted(self.meta):
             if key in ("K", "D"):
                 continue
@@ -178,8 +183,8 @@ def read_csv(fh) -> SampleBatch:
                         meta[k] = v
             continue
         vals.append(float(line))
-    counter = EvalCounter(int(meta.pop("pdf_evals", 0)),
-                          int(meta.pop("score_evals", 0)))
+    counter = EvalCounter(*(int(meta.pop(k, 0)) for k in (
+        "pdf_evals", "score_evals", "clamps", "fallbacks")))
     for key, actual in (("S", len(vals)), ("total_evals", counter.total_evals)):
         stated = meta.pop(key, None)
         if stated is not None and int(stated) != actual:

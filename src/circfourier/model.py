@@ -7,6 +7,7 @@ up to normalization), so any amplitude choice yields a valid density.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,6 +35,11 @@ _PI_LO = -float.fromhex("0x1.5777a5cf72cedp-20")
 _TABLE_BYTES = 1 << 20
 # ... and its truncated terms stay below this share of sum |s_n|.
 _TAYLOR_TOL = 2.0**-60
+# A point keeps the density table's values only where they give p at least
+# this many times the bound E on their error in p and in dp/dd
+# (FourierDensity._cutoff).  There p errs by under 2^-32 of itself, and the
+# score p'/p by under pi 2^-32 (1 + |p'/p|), within 1e-9 (1 + |score|).
+_KEEP = 2.0**32
 
 
 @dataclass
@@ -48,10 +54,17 @@ class EvalCounter:
     the coefficients from `autocorrelate`, a table is a change of basis
     computed from the amplitudes, and no caller receives a value from it
     except through a billed point.
+
+    Two diagnostics ride along, in no bill: `fallbacks`, the points of
+    `pdf` and `pdf_and_score` whose density came from the amplitude table
+    because the density table's could not be trusted there, and `clamps`,
+    the points at which `pdf_and_score` raised p to PDF_FLOOR.
     """
 
     pdf_evals: int = 0
     score_evals: int = 0
+    clamps: int = 0
+    fallbacks: int = 0
 
     @property
     def total_evals(self) -> int:
@@ -72,11 +85,15 @@ class FourierDensity:
 
     Immutable after construction; safe to share across threads.  Coefficients
     with n < 0 are redundant (conjugate symmetry) and not stored.  The one
-    cache, the two Taylor tables of pointwise evaluation (`_table`), is
-    filled lazily on first use and is idempotent: each table is a pure
-    function of the amplitudes, read-only, and stored with one
-    `dict.setdefault`, so threads that race to build one all read the same
-    values.  The grid methods build none.
+    cache, the Taylor tables of pointwise evaluation (`_table`) and the
+    density table's cutoff (`_cutoff`), is filled lazily on first use and
+    is idempotent: each entry is a pure function of the amplitudes,
+    read-only, and stored once (`dict.setdefault`), so threads that race
+    to build one all read the same values.  A model holds at most three
+    tables: the real one of p, which `pdf` and `pdf_and_score` read first;
+    the amplitudes' complex one, for the points where the first is below
+    its cutoff, and for the rejection hat; and the real one of the
+    antiderivative, for `cdf`.  The grid methods build none.
     """
 
     def __init__(self, amplitudes, scale: float = 1.0, offset: float = 0.0):
@@ -109,20 +126,19 @@ class FourierDensity:
             )
         # ratios[n-1] = c_n / c_0 for n = 1..N
         self._ratios = self.coefficients[1:] / self._c0
-        self._tables: dict[bool, np.ndarray] = {}  # see _table
+        self._tables: dict[str, np.ndarray] = {}  # see _table
 
     @property
     def n_terms(self) -> int:
         return self.amplitudes.size - 1
 
     def pdf(self, x, counter: EvalCounter | None = None):
-        """Density |A(w)|^2 / (2 c_0) >= 0 at x in [-1, 1), with
-        A(w) = sum_k a_k w^k at w = e^{-i pi x}; unclamped, as pdf_grid.
-        Bills one pdf evaluation per point."""
+        """Density p >= 0 at x in [-1, 1), from the density table where it
+        is accurate, else |A(w)|^2 / (2 c_0) with A(w) = sum_k a_k w^k at
+        w = e^{-i pi x} (_evaluate); unclamped, as pdf_grid.  Bills one pdf
+        evaluation per point."""
         vals = np.empty(np.shape(x))
-        flat = vals.reshape(-1)
-        for sl, A, _ in _taylor(self._table(), x):
-            _squared_modulus(A, 2.0 * self._c0, flat[sl])
+        self._evaluate(x, vals.reshape(-1), counter=counter)
         if counter is not None:
             counter.pdf_evals += int(vals.size)
         return vals if np.ndim(vals) else float(vals)
@@ -140,20 +156,120 @@ class FourierDensity:
             counter.pdf_evals += K
         return vals
 
-    def _table(self, cdf: bool = False) -> np.ndarray:
-        """The Taylor table (_taylor_table) of the amplitudes, or, for
-        `cdf`, the real part of that of s_n = conj((c_n/c_0) / (i pi n)),
-        s_0 = 0, whose Re sum_n s_n u^n at u = e^{-i pi x} is the term-wise
-        antiderivative of p - 1/2; built on first use and kept."""
-        rows = self._tables.get(cdf)
+    def _table(self, series: str) -> np.ndarray:
+        """The Taylor table (_taylor_table) of a series sum_n s_n u^n at
+        u = e^{-i pi x}, built on first use and kept:
+        - "amplitudes": s_n = a_n, the series A; a complex table;
+        - "density": s_0 = 1/2, s_n = conj(c_n/c_0), whose real part is p,
+          with the c_n/c_0 formed in long double (_cutoff says why); the
+          real part of the table;
+        - "cdf": s_0 = 0, s_n = conj((c_n/c_0) / (i pi n)), whose real part
+          is the term-wise antiderivative of p - 1/2; the real part of the
+          table."""
+        rows = self._tables.get(series)
         if rows is None:
-            series = self.amplitudes
-            if cdf:
-                n = np.arange(1, self.n_terms + 1)
-                series = np.conj(np.concatenate(
-                    ([0.0], self._ratios * (1j * np.pi * n) ** -1)))
-            rows = self._tables.setdefault(cdf, _taylor_table(series, real=cdf))
+            rows = self._tables.setdefault(series, _taylor_table(
+                self._series(series), real=series != "amplitudes"))
         return rows
+
+    def _series(self, series: str) -> np.ndarray:
+        """The s_n of a table of _table."""
+        if series == "amplitudes":
+            return self.amplitudes
+        if series == "cdf":
+            n = np.arange(1, self.n_terms + 1)
+            return np.conj(np.concatenate(
+                ([0.0], self._ratios * (1j * np.pi * n) ** -1)))
+        a = self.amplitudes.astype(np.clongdouble)
+        # correlate gives conj(c_n) = sum_k a_{k+n} conj(a_k)
+        s = np.correlate(a, a, "full")[self.n_terms :]
+        s /= np.sum(a.real**2 + a.imag**2)
+        s = s.astype(complex)
+        s[0] = 0.5
+        return s
+
+    @functools.cached_property
+    def _cutoff(self) -> float:
+        """tau = _KEEP E, with E >= the error of the density table's P and
+        of its slope W = dP/dd (_taylor with slope) against p and dp/dd at
+        the angle fl(pi x).  With r = pi/L + 2^-32 >= |d|, rho = N r and
+        h_k = sum_n n^k |s_n| e^{n r}, which bounds the table's rows (a row
+        m is at most sum_n |s_n| n^m/m!) and so sum_m |R_m| r^m (h_0), its
+        slope (h_1) and the slope's slope (h_2), E is twice the larger of
+        the sums for P and for W of:
+        - rounding, phi h_0 and phi h_1 with phi = (4M + 48 + 8 log2 Q) u:
+          Horner's rule, gamma_2M for P and for W alike (Higham 2002, 5.1);
+          each row's input, gamma_2M from its term recurrence, about 36 u
+          from _grid's twiddles and products and u from s_n's own rounding;
+          and the length-Q FFT, at most 8 u per level of the input's
+          1-norm (Higham 2002, 24.1);
+        - truncation, h_0 T_{M+1} and h_1 T_M, with
+          T_k = rho^k/k! / (1 - rho/(k+1)) >= sum_{m>=k} rho^m/m!;
+        - d's own error, at most u r + 2^-70 (_taylor): h_1 and h_2 times it;
+        - the s_n's, each within (2N + 16) u' of c_n/c_0, u' the unit
+          roundoff of long double: N and N(N+1)/2 times it.
+        The last is why the s_n are formed in long double: in double, a
+        bound of (2N + 8) u per s_n would raise tau past p's mean of 1/2
+        at N = 200.  Where long double is double, tau is larger, and more
+        points go to the amplitude table, but E still holds."""
+        s = self._series("density")
+        size, order = _table_shape(self.n_terms)
+        n = np.arange(s.size)
+        r = np.pi / size + 2.0**-32
+        rho = self.n_terms * r
+        grow = np.abs(s) * np.exp(n * r)
+        h0, h1, h2 = float(np.sum(grow)), float(n @ grow), float(n**2 @ grow)
+        unit = 2.0**-53
+        levels = math.log2(_least_divisor(size, s.size))
+        phi = (4 * order + 48 + 8 * levels) * unit
+        tail = [rho**k / math.factorial(k) / (1.0 - rho / (k + 1))
+                for k in (order, order + 1)]
+        angle = unit * r + 2.0**-70
+        coef = (2 * self.n_terms + 16) * float(np.finfo(np.longdouble).eps) / 2
+        e_p = (phi + tail[1]) * h0 + angle * h1 + self.n_terms * coef
+        e_d = ((phi + tail[0]) * h1 + angle * h2
+               + self.n_terms * (self.n_terms + 1) / 2 * coef)
+        return _KEEP * 2.0 * max(e_p, e_d)
+
+    def _evaluate(self, x, p, score=None, counter=None) -> None:
+        """p at the points x into p, and, given `score`, the clamped score
+        p'/max(p, PDF_FLOOR) into it (p clamped too); all flat, of x's
+        size.  Each block of _BLOCK points is evaluated by _taylor on the
+        density table, with p' = pi dp/dd.  Where that p is below
+        _cutoff, which holds p >= 0 elsewhere, the block's points are taken
+        again on the amplitude table, as |A|^2/(2 c_0) and
+        p' = pi Re{conj(A) dA/dd}/c_0; those points are counted as
+        fallbacks, and those of them clamped as clamps."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        slope = score is not None
+        cutoff, fallbacks, clamps = self._cutoff, 0, 0
+        for sl, P, W in _taylor(self._table("density"), x, out=p,
+                                slope=slope):
+            if slope:
+                s = np.multiply(W, np.pi, out=score[sl])
+            low = np.flatnonzero(P < cutoff)
+            if low.size:
+                fallbacks += low.size
+                for _, A, dA in _taylor(self._table("amplitudes"), x[sl][low],
+                                        slope=slope):
+                    vals = dA.real  # free once the numerator is stored
+                    if slope:
+                        np.multiply(A.real, dA.real, out=vals)
+                        np.multiply(A.imag, dA.imag, out=dA.imag)
+                        vals += dA.imag
+                        vals *= np.pi
+                        vals /= self._c0
+                        s[low] = vals
+                    _squared_modulus(A, 2.0 * self._c0, vals)
+                    if slope:
+                        clamps += int(np.count_nonzero(vals < PDF_FLOOR))
+                        np.maximum(vals, PDF_FLOOR, out=vals)
+                    P[low] = vals
+            if slope:
+                s /= P
+        if counter is not None:
+            counter.fallbacks += fallbacks
+            counter.clamps += clamps
 
     def _hat(self) -> np.ndarray:
         """H[j] >= pdf at every double in the closed cell
@@ -167,7 +283,7 @@ class FourierDensity:
         T = sum_{m>M} (N r)^m/m!, for an edge point taken about the next
         anchor, and each rounding by 2^-40 (thousands of ulps) of sigma,
         sigma^2 or the result."""
-        rows = self._table()
+        rows = self._table("amplitudes")
         order, size = rows.shape[0] - 1, rows.shape[1]
         r = np.pi / size + 2.0**-32
         s = float(np.sum(np.abs(self.amplitudes)))
@@ -191,14 +307,14 @@ class FourierDensity:
     def cdf(self, x, counter: EvalCounter | None = None):
         """P(x) = integral of the density over [-1, x]; 0 at -1, 1 at 1.
         Term-wise (F(x) - F(-1)) + (x + 1)/2, with F the antiderivative
-        series of _table(cdf=True), one block at a time, summed by Horner's
+        series of _table("cdf"), one block at a time, summed by Horner's
         rule in the output itself, so that a call needs only the table and
         three work blocks beyond it; (x + 1)/2 is formed in the block's
         spare array.  Bills one pdf evaluation per point, as pdf does."""
         x = np.asarray(x, dtype=float)
         vals = np.empty(x.shape)
         flat, xf = vals.reshape(-1), x.reshape(-1)
-        rows = self._table(cdf=True)
+        rows = self._table("cdf")
         f0 = rows[0, 0]  # F at the anchor x_0 = -1
         for sl, F, spare in _taylor(rows, x, out=flat):
             F -= f0
@@ -211,22 +327,11 @@ class FourierDensity:
         return vals if np.ndim(vals) else float(vals)
 
     def pdf_and_score(self, x, counter: EvalCounter | None = None):
-        """Clamped density and score p'(x)/max(p(x), floor), from one pass
-        for A and its slope dA/dd in the angle offset d of _taylor:
-        p' = pi Re{conj(A) dA/dd} / c_0.  Bills one score evaluation (two
-        model evaluations) per point."""
+        """Clamped density and score p'(x)/max(p(x), floor), each point
+        from one pass for its value and slope on one table (_evaluate).
+        Bills one score evaluation (two model evaluations) per point."""
         p, score = np.empty(np.shape(x)), np.empty(np.shape(x))
-        p_flat, s_flat = p.reshape(-1), score.reshape(-1)
-        for sl, A, dA in _taylor(self._table(), x, slope=True):
-            s = s_flat[sl]
-            np.multiply(A.real, dA.real, out=s)
-            np.multiply(A.imag, dA.imag, out=dA.imag)
-            s += dA.imag
-            s *= np.pi
-            s /= self._c0
-            _squared_modulus(A, 2.0 * self._c0, p_flat[sl])
-        np.maximum(p, PDF_FLOOR, out=p)
-        score /= p
+        self._evaluate(x, p.reshape(-1), score.reshape(-1), counter)
         if counter is not None:
             counter.score_evals += int(p.size)
         return p, score

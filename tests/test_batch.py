@@ -68,6 +68,28 @@ class TestCsvRoundTrip:
         assert back.meta["method"] == "daas+ula"
         assert float(back.meta["step"]) == 1e-5
 
+    @pytest.mark.parametrize("counter,ledger", [
+        (EvalCounter(pdf_evals=5, score_evals=2),
+         "# pdf_evals=5 score_evals=2 clamps=0 fallbacks=0 total_evals=9"),
+        (EvalCounter(pdf_evals=5, score_evals=2, clamps=1, fallbacks=3),
+         "# pdf_evals=5 score_evals=2 clamps=1 fallbacks=3 total_evals=9"),
+    ], ids=["none", "some"])
+    def test_clamps_and_fallbacks_round_trip(self, counter, ledger):
+        # a run that scores prints both counts on its ledger line, and
+        # read_csv restores them
+        fh = io.StringIO()
+        SampleBatch(np.array([0.5]), seed=1, counter=counter).write_csv(fh)
+        assert fh.getvalue().splitlines()[1] == ledger
+        fh.seek(0)
+        assert read_csv(fh).counter == counter
+
+    def test_unscored_ledger_names_no_counts(self):
+        # a pdf-only run, such as rejection, names no counts, whatever its
+        # fallbacks
+        counter = EvalCounter(pdf_evals=5, fallbacks=1)
+        lines = SampleBatch(np.array([0.5]), counter=counter).manifest_lines()
+        assert lines[1] == "# pdf_evals=5 score_evals=0 total_evals=5"
+
     @pytest.mark.parametrize("method", ["daas", "daas+mala", "rejection"])
     def test_write_of_read_is_identity(self, method):
         batch = run_sample(ExperimentConfig(

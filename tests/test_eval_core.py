@@ -16,10 +16,12 @@ import warnings
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from circfourier import (BSplineKernel, FourierDensity, build_ancestor,
-                         compound_pdf, grid_ancestral_sample, random_density)
-from circfourier.model import (PDF_FLOOR, _TABLE_BYTES, _TAYLOR_TOL,
-                               _table_shape, _taylor, _taylor_table)
+from circfourier import (BSplineKernel, EvalCounter, FourierDensity,
+                         build_ancestor, compound_pdf, grid_ancestral_sample,
+                         random_density)
+from circfourier.model import (PDF_FLOOR, _KEEP, _TABLE_BYTES, _TAYLOR_TOL,
+                               _grid, _squared_modulus, _table_shape, _taylor,
+                               _taylor_table, wrap)
 
 
 def series_reference(x, weights, base):
@@ -51,6 +53,17 @@ def amplitude_reference(m, x):
     p = (A.real**2 + A.imag**2) / (2 * c0)
     dp = np.pi * np.real(np.conj(A) * dA) / c0
     return p, dp
+
+
+def amplitude_path(m, x):
+    """(p, score) at at most _BLOCK points x from the amplitude table alone,
+    in the order of operations of the path that pdf_and_score falls back
+    to: p = max(|A|^2/(2 c_0), PDF_FLOOR) and
+    score = pi Re{conj(A) dA/dd} / c_0 / p."""
+    (_, A, dA), = _taylor(m._table("amplitudes"), x, slope=True)
+    slope = (A.real * dA.real + A.imag * dA.imag) * np.pi / m._c0
+    p = np.maximum((A.real**2 + A.imag**2) / (2.0 * m._c0), PDF_FLOOR)
+    return p, slope / p
 
 
 def model_case(n, seed, x0=None, points=(0.0,), pull=0.0):
@@ -110,6 +123,81 @@ def test_score_agrees_with_power_recurrence(case):
 
 @settings(max_examples=150, deadline=None)
 @given(models())
+def test_density_table_within_its_bound(case):
+    # the bound E behind the density table's cutoff holds at every point,
+    # those below the cutoff included: the table's P errs from p, and its
+    # slope W from dp/dd, by at most E
+    m, x = case
+    p_ref, dp_ref = (v.astype(float) for v in amplitude_reference(m, x))
+    bound = m._cutoff / _KEEP
+    for sl, P, W in _taylor(m._table("density"), x, slope=True):
+        assert np.all(np.abs(P - p_ref[sl]) <= bound)
+        assert np.all(np.abs(np.pi * W - dp_ref[sl]) <= np.pi * bound)
+
+
+@st.composite
+def near_zeros(draw):
+    """model_case with a zero of A on the unit circle or pulled 1e-7 to
+    3e-3 off it, and 800 points about the zero, from 1e-9 to 0.5 away."""
+    n = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x0 = draw(st.floats(-1.0, 1.0, exclude_max=True))
+    pull = draw(st.just(0.0) | st.floats(1e-7, 3e-3))
+    away = np.geomspace(1e-9, 0.5, 400)
+    m, _ = model_case(n, seed, x0, pull=pull)
+    return m, wrap(np.concatenate([x0 - away, x0 + away]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_zeros())
+@example(model_case(20, 3, x0=0.3)[:1] + (0.3 + np.geomspace(1e-9, 0.5, 400),))
+@example(model_case(200, 9, x0=-0.7, pull=1e-7)[:1]
+         + (-0.7 - np.geomspace(1e-9, 0.5, 400),))
+def test_density_and_score_near_zeros(case):
+    # Where the density table's p is below its cutoff tau, pdf and
+    # pdf_and_score take the point again on the amplitude table.  So p
+    # keeps 1e-9 of itself at every point where p >= 1e-10, those in
+    # [1e-10, tau] and just above tau among them.  A point that falls back
+    # gets the amplitude path's p and score, bit for bit, and a point kept
+    # on the density table its score within 1e-9 (1 + |s|) wherever
+    # p >= 1e-6, the tolerance of test_score_agrees_with_power_recurrence.
+    # Below 1e-10 the amplitude path's own rounding nears 1e-9 of p: 7e-10
+    # at PDF_FLOOR, in 1500 models with N >= 100.
+    m, x = case
+    p_ref, dp_ref = (v.astype(float) for v in amplitude_reference(m, x))
+    keep = p_ref >= 1e-10
+    x, p_ref, dp_ref = x[keep], p_ref[keep], dp_ref[keep]
+    p, (q, s) = m.pdf(x), m.pdf_and_score(x)
+    assert np.array_equal(p, q)
+    assert np.all(np.abs(p - p_ref) <= 1e-9 * p_ref)
+    (_, P, _), = _taylor(m._table("density"), x)
+    low = P < m._cutoff
+    if low.any():
+        p_amp, s_amp = amplitude_path(m, x[low])
+        assert np.array_equal(p[low], p_amp) and np.array_equal(s[low], s_amp)
+    s_ref = dp_ref / p_ref
+    kept = ~low & (p_ref >= 1e-6)
+    assert np.all(np.abs(s - s_ref)[kept] <= 1e-9 * (1 + np.abs(s_ref[kept])))
+
+
+def test_clamps_and_fallbacks_counted():
+    # at a zero of A on the circle p is clamped to PDF_FLOOR, after the
+    # point fell back from the density table; the ledger counts both, and
+    # a point well above the cutoff as neither
+    m, _ = model_case(20, 3, x0=0.3)
+    x = np.array([0.3, 0.3 + 1e-4, 0.5])
+    assert m.pdf(0.5) > m._cutoff
+    counter = EvalCounter()
+    p, _ = m.pdf_and_score(x, counter)
+    assert p[0] == PDF_FLOOR and p[1] > PDF_FLOOR
+    assert (counter.clamps, counter.fallbacks) == (1, 2)
+    m.pdf(x, counter)
+    assert (counter.clamps, counter.fallbacks) == (1, 4)
+    assert counter.total_evals == 3 + 2 * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
 def test_cdf_and_deriv_agree_with_power_recurrence(case):
     m, x = case
     n = np.arange(1, m.n_terms + 1)
@@ -131,20 +219,29 @@ def test_density_non_negative_and_grid_sums_to_half_k(case, k_extra):
 
 
 def test_evaluation_memory_flat_in_points():
-    """Traced peak of one call stays within its outputs plus a few blocks."""
+    """Traced peak of one call stays within its outputs plus a few blocks,
+    also where every point falls back to the amplitude table: 2^20 points
+    clustered at a zero of A on the circle, taken a block at a time."""
     m = random_density(50, 0)
     x = np.random.default_rng(1).uniform(-1.0, 1.0, 2**20)
-    for name in ("pdf", "pdf_and_score", "cdf"):
+    zero, _ = model_case(50, 0, x0=0.25)
+    near = 0.25 + np.random.default_rng(2).uniform(-1e-5, 1e-5, 2**20)
+    cases = [(m, x, name) for name in ("pdf", "pdf_and_score", "cdf")]
+    cases += [(zero, near, name) for name in ("pdf", "pdf_and_score")]
+    for model, points, name in cases:
+        counter = EvalCounter()
         tracemalloc.start()
         try:
-            getattr(m, name)(x)
+            getattr(model, name)(points, counter)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * x.nbytes + 2**20, (name, peak / x.nbytes)
+        assert peak <= 4 * points.nbytes + 2**20, (name, peak / points.nbytes)
         if name == "cdf":
             # one output array plus a block of (x + 1)/2 and Horner's arrays
             assert peak <= x.nbytes + 2**20, peak - x.nbytes
+        if model is zero:
+            assert counter.fallbacks == points.size
 
 
 def test_compound_pdf_memory_flat_in_points():
@@ -243,26 +340,38 @@ def test_table_shape_meets_the_remainder_bound_and_the_cap():
         size, order = _table_shape(n)
         m.pdf(0.5)
         m.cdf(0.5)
-        assert m._table().shape == m._table(cdf=True).shape == (order + 1, size)
-        assert m._table().nbytes <= _TABLE_BYTES
-        assert m._table(cdf=True).dtype == np.float64
+        tables = [m._table(s) for s in ("amplitudes", "density", "cdf")]
+        assert all(rows.shape == (order + 1, size) for rows in tables)
+        assert tables[0].nbytes <= _TABLE_BYTES
+        assert tables[1].dtype == tables[2].dtype == np.float64
 
 
-def test_pdf_at_anchors_is_the_grid_up_to_the_angle():
+def test_tables_at_anchors_are_the_grid_up_to_the_angle():
     # At an anchor x_j the offset is only the rounding of the angle,
-    # fl(pi x_j) - pi x_j, so the series is the table's first row, which is
-    # pdf_grid(L)'s transform, to within |p'| times that rounding, with
-    # p' = s p from pdf_and_score.  At x = 0 the angle is exact, and the
-    # two agree bit for bit.
+    # fl(pi x_j) - pi x_j, so a table's series is its first row, which is
+    # the _grid of its series at L points, to within |slope| times that
+    # rounding.  At x = 0 the angle is exact, and the two agree bit for
+    # bit: the amplitudes' row squared is pdf_grid(L), and the density
+    # table's is the real part of the _grid of its series.
     for n in (0, 1, 20, 50, 200):
         m = random_density(n, 5)
         size, _ = _table_shape(n)
         anchors = -1.0 + 2.0 * np.arange(size) / size
-        grid, p = m.pdf_grid(size), m.pdf(anchors)
-        assert p[size // 2] == grid[size // 2]
-        clamped, s = m.pdf_and_score(anchors)
-        bound = np.abs(s * clamped) * np.abs(anchors) * 2.0**-52
-        assert np.all(np.abs(p - grid) <= bound + 2.0**-50 * (1.0 + grid)), n
+        for series in ("amplitudes", "density"):
+            grid = np.empty(size, complex)
+            for dest, B in _grid(m._series(series), size, grid):
+                dest[...] = B
+            (_, value, slope), = _taylor(m._table(series), anchors, slope=True)
+            if series == "density":
+                grid = grid.real
+            else:  # p and dp/dd from A and dA/dd
+                slope = np.real(np.conj(value) * slope) / m._c0
+                _squared_modulus(value, 2.0 * m._c0, value.real)
+                value, grid = value.real, m.pdf_grid(size)
+            assert value[size // 2] == grid[size // 2], (n, series)
+            bound = np.abs(np.pi * slope) * np.abs(anchors) * 2.0**-52
+            assert np.all(np.abs(value - grid)
+                          <= bound + 2.0**-50 * (1.0 + np.abs(grid))), n
 
 
 def test_one_term_series_and_slope_between_anchors():
@@ -289,27 +398,39 @@ def test_grid_path_builds_no_table():
     grid_ancestral_sample(m, 64, BSplineKernel(1), 1000, 0)
     m.pdf_grid(64)
     assert m._tables == {}
-    # pointwise calls build each table once, and keep it
+    # pointwise calls build each table once, on first use, and keep it
     m.pdf(0.25)
-    table = m._table()
+    density = m._table("density")
     m.pdf_and_score(np.array([0.5, -0.5]))
-    assert m._table() is table and len(m._tables) == 1
+    assert m._table("density") is density and list(m._tables) == ["density"]
     m.cdf(0.25)
-    cdf_table = m._table(cdf=True)
+    cdf_table = m._table("cdf")
     m.cdf(np.array([0.5, -0.5]))
-    # the amplitudes' complex table and the antiderivative's real one
-    assert len(m._tables) == 2
-    assert m._table() is table and m._table(cdf=True) is cdf_table
-    assert table.dtype == complex and cdf_table.dtype == float
+    # the amplitudes' table waits for a point below the density's cutoff
+    assert sorted(m._tables) == ["cdf", "density"]
+    x0 = -0.3
+    m, _ = model_case(20, 4, x0=x0)
+    density = m._table("density")
+    m.pdf_and_score(np.array([x0, 0.5]))
+    amplitudes = m._table("amplitudes")
+    m.pdf(np.array([x0, -0.5]))
+    m.cdf(0.25)
+    assert sorted(m._tables) == ["amplitudes", "cdf", "density"]
+    assert m._table("amplitudes") is amplitudes
+    assert m._table("density") is density
+    assert amplitudes.dtype == complex
+    assert density.dtype == m._table("cdf").dtype == float
 
 
 def test_tables_built_once_under_racing_threads():
     # threads that race to build a model's tables all evaluate with the one
-    # stored table of each series, and get the values of a lone caller
+    # stored table of each series, and get the values of a lone caller;
+    # the model has a zero on the circle, so that pdf and pdf_and_score
+    # read the amplitudes' table too
     x = np.linspace(-1.0, 1.0, 5001)
-    lone = random_density(30, 8)
+    lone, _ = model_case(30, 8, x0=0.1)
     expected = (lone.pdf(x), lone.cdf(x), lone.pdf_and_score(x)[1])
-    m = random_density(30, 8)
+    m, _ = model_case(30, 8, x0=0.1)
     results, errors = [None] * 8, []
 
     def work(i):
@@ -331,4 +452,4 @@ def test_tables_built_once_under_racing_threads():
     assert not any(t.is_alive() for t in threads) and errors == []
     for got in results:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-    assert len(m._tables) == 2
+    assert len(m._tables) == 3

@@ -72,7 +72,8 @@ class TestRejectionSampling:
         for m in (FourierDensity([1.0]), FourierDensity([1.0, 1.0])):
             meta = rejection_sample(m, 10, 0).meta
             hat = m._hat()
-            assert meta["hat_cells"] == hat.size == m._table().shape[1]
+            cells = m._table("amplitudes").shape[1]
+            assert meta["hat_cells"] == hat.size == cells
             assert meta["hat_mass"] == np.cumsum(hat)[-1] * 2.0 / hat.size
             assert 1.0 <= meta["hat_mass"] < 1.001
 
@@ -225,7 +226,7 @@ def test_hat_bounds_pdf_on_every_cell(amps):
     m = FourierDensity(amps)
     hat = m._hat()
     cells = hat.size
-    assert cells == m._table().shape[1]
+    assert cells == m._table("amplitudes").shape[1]
     x = (-1.0 - 1.0 / cells) + (2.0 / cells) * (
         np.arange(cells)[:, None] + np.arange(65) / 64)
     assert np.all(m.pdf(x) <= hat[:, None])
